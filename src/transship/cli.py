@@ -13,9 +13,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from . import analytic_solver, core_analysis, simulation
@@ -32,17 +30,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _worker_count(jobs: int) -> int:
-    cap = os.environ.get("TRANSSHIP_THREADS")
-    limit = os.cpu_count() or 1
-    if cap:
-        try:
-            limit = max(1, int(cap))
-        except ValueError:
-            raise ParameterError(f"TRANSSHIP_THREADS must be an integer, got {cap!r}")
-    return max(1, min(jobs, limit))
 
 
 def _add_param_args(parser: argparse.ArgumentParser) -> None:
@@ -132,8 +119,7 @@ def _cmd_sweep(args, out) -> int:
             raise ParameterError(f"--over n needs 1 <= from <= to, got {lo}..{hi}")
         jobs = [(params, n, float(n)) for n in range(lo, hi + 1)]
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(jobs))) as pool:
-        rows = list(pool.map(lambda job: _sweep_row(*job), jobs))
+    rows = [_sweep_row(*job) for job in jobs]
 
     if args.format == "json":
         for row in rows:

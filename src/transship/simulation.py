@@ -67,11 +67,29 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
     """Draw `count` independent scenarios from the equicorrelated n-variate normal.
 
     Mean mu * 1, covariance sigma^2 * [(1 - rho) I + rho 11^T]; requires
-    sigma > 0 and -1/(n-1) < rho <= 1. Identical (seed, arguments) give a
-    bit-identical matrix.
+    finite mu, finite sigma > 0 and -1/(n-1) < rho <= 1. Identical (seed,
+    arguments) give a bit-identical matrix.
+
+    Uses the one-factor representation of the equicorrelated normal (Tong,
+    The Multivariate Normal Distribution, 1990, section 8.2): with Z the
+    standard normal draws of a scenario and Zbar their mean,
+
+        D = mu + sigma * (a * Z + (b - a) * Zbar),
+        a = sqrt(1 - rho),  b = sqrt(1 + (n - 1) rho),
+
+    which has unit variances and correlation rho, exactly, across the whole
+    valid range. It costs O(n) per scenario and is computed in place on the
+    one count x n buffer of draws. At rho = 1 (a = 0) every column is
+    bit-identical, and at rho = 0 (b - a = 0) or n = 1 the result is
+    mu + sigma * Z. The draws Z come from Philox keyed by the seed, as before;
+    correlated scenarios for a given seed differ from those of the earlier
+    Cholesky sampler, while rho = 0 scenarios are unchanged.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
+    for name, value in (("mu", mu), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
     if sigma <= 0:
         raise ParameterError(f"sigma = {sigma} <= 0")
     if count < 1:
@@ -82,17 +100,46 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
         raise ParameterError(
             f"rho = {rho} <= -1/(n-1) = {-1.0 / (n - 1)}: covariance not positive-definite"
         )
+    # A single agent has no pairwise correlation, so rho drops out (a = b = 1).
+    a = math.sqrt(1.0 - rho) if n > 1 else 1.0
+    b = math.sqrt(1.0 + (n - 1) * rho)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    if rho == 1.0:
-        # Perfect correlation: one draw per scenario, shared by all agents.
-        z = rng.standard_normal((count, 1))
-        draws = np.repeat(z, n, axis=1)
-    else:
-        z = rng.standard_normal((count, n))
-        corr = (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
-        lower = np.linalg.cholesky(corr)
-        draws = z @ lower.T
-    return DemandMatrix(scenarios=mu + sigma * draws, seed=seed, rho_target=rho)
+    draws = rng.standard_normal((count, n))
+    shift = draws.mean(axis=1)
+    shift *= sigma * (b - a)
+    shift += mu
+    draws *= sigma * a
+    draws += shift[:, np.newaxis]
+    return DemandMatrix(scenarios=draws, seed=seed, rho_target=rho)
+
+
+# Matrix entries per block when the estimators walk the scenarios (256 KiB of
+# float64, at least one row): their scratch memory does not grow with count.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _surplus_shortage(x: float, scenarios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-scenario totals S_H = sum_i max(x - D_i, 0) and S_E = sum_i max(D_i - x, 0).
+
+    Walks the rows in blocks of about _BLOCK_ELEMENTS entries through one
+    reused buffer. Each row is reduced on its own, so the totals do not
+    depend on the block size.
+    """
+    count, n = scenarios.shape
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    surplus = np.empty(count)
+    shortage = np.empty(count)
+    buffer = np.empty((min(rows, count), n))
+    for lo in range(0, count, rows):
+        block = scenarios[lo:lo + rows]
+        scratch = buffer[:block.shape[0]]
+        np.subtract(x, block, out=scratch)
+        np.maximum(scratch, 0.0, out=scratch)
+        scratch.sum(axis=1, out=surplus[lo:lo + rows])
+        np.subtract(block, x, out=scratch)
+        np.maximum(scratch, 0.0, out=scratch)
+        scratch.sum(axis=1, out=shortage[lo:lo + rows])
+    return surplus, shortage
 
 
 def _summarize(values: np.ndarray) -> McEstimate:
@@ -110,24 +157,20 @@ def estimate_profit(x: float, samples: DemandMatrix, params: MarketParams) -> Mc
     """Monte Carlo estimate of the coalition profit at common quantity x.
 
     Per scenario: sum_i [r min(x, D_i) + nu H_i - c x] plus the pooled
-    recourse profit p * min(sum H, sum E) (the identical-agent shortcut,
-    vectorized; its agreement with the general transportation solver is
-    checked separately).
+    recourse profit p * min(sum H, sum E) (the identical-agent shortcut; its
+    agreement with the general transportation solver is checked separately).
+    Since min(x, D_i) = x - H_i, the first sum is n x (r - c) - (r - nu) S_H.
     """
     econ = validate_params(params)
-    demands = samples.scenarios
-    surplus = np.maximum(x - demands, 0.0)
-    shortage = np.maximum(demands - x, 0.0)
-    stage_one = (params.r * np.minimum(x, demands) + params.nu * surplus - params.c * x).sum(axis=1)
-    recourse = econ.p * np.minimum(surplus.sum(axis=1), shortage.sum(axis=1))
-    return _summarize(stage_one + recourse)
+    surplus, shortage = _surplus_shortage(x, samples.scenarios)
+    profit = samples.n * x * (params.r - params.c) - (params.r - params.nu) * surplus
+    profit += econ.p * np.minimum(surplus, shortage)
+    return _summarize(profit)
 
 
 def estimate_transshipment(x: float, samples: DemandMatrix) -> McEstimate:
     """Monte Carlo estimate of the transshipped amount min(sum H, sum E) at x."""
-    demands = samples.scenarios
-    surplus = np.maximum(x - demands, 0.0).sum(axis=1)
-    shortage = np.maximum(demands - x, 0.0).sum(axis=1)
+    surplus, shortage = _surplus_shortage(x, samples.scenarios)
     return _summarize(np.minimum(surplus, shortage))
 
 

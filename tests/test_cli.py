@@ -104,16 +104,6 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(text)))
         assert all(row[6] == "" for row in rows[1:])
 
-    def test_worker_cap_env(self, monkeypatch):
-        monkeypatch.setenv("TRANSSHIP_THREADS", "1")
-        code, _ = run_cli(["sweep", "--over", "n", "--from", "1", "--to", "4",
-                           *MEAN_ARGS, "--format", "csv"])
-        assert code == 0
-        monkeypatch.setenv("TRANSSHIP_THREADS", "not-a-number")
-        code, _ = run_cli(["sweep", "--over", "n", "--from", "1", "--to", "4",
-                           *MEAN_ARGS, "--format", "csv"])
-        assert code != 0
-
 
 class TestLimits:
     def test_under_mean_above_cut(self):

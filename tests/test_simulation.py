@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from transship.analytic_solver import (
     expected_transshipment,
     solve_optimal_quantity,
 )
-from transship.game_model import MarketParams, ParameterError
+from transship import simulation
+from transship.game_model import MarketParams, ParameterError, validate_params
 from transship.normal_math import cdf_antiderivative
 from transship.simulation import (
     RNG_ALGORITHM,
@@ -22,6 +24,32 @@ from transship.simulation import (
 )
 
 MEAN_GAME = MarketParams(r=10, c=6, nu=2, t=2, mu=100, sigma=20, rho=0)
+
+
+def near_lower_rho(n):
+    """A correlation just inside the valid region's lower edge -1/(n-1)."""
+    return -(1.0 - 1e-6) / max(1, n - 1)
+
+
+def reference_profits(x, demands, params):
+    """Per-scenario coalition profit by the per-element formula: the oracle for
+    the fused estimator kernel."""
+    econ = validate_params(params)
+    surplus = np.maximum(x - demands, 0.0)
+    shortage = np.maximum(demands - x, 0.0)
+    stage_one = (params.r * np.minimum(x, demands) + params.nu * surplus
+                 - params.c * x).sum(axis=1)
+    recourse = econ.p * np.minimum(surplus.sum(axis=1), shortage.sum(axis=1))
+    return stage_one + recourse
+
+
+def reference_transshipments(x, demands):
+    return np.minimum(np.maximum(x - demands, 0.0).sum(axis=1),
+                      np.maximum(demands - x, 0.0).sum(axis=1))
+
+
+def reference_estimate(values):
+    return values.mean(), values.std(ddof=1) / math.sqrt(values.shape[0])
 
 
 class TestSampleDemands:
@@ -43,9 +71,37 @@ class TestSampleDemands:
         assert abs(samples.scenarios.std(ddof=1) - 20) <= 1.0
 
     def test_perfect_correlation_identical_columns(self):
-        samples = sample_demands(5, 100, 20, 1.0, 200, seed=2)
-        for j in range(1, 5):
-            assert np.array_equal(samples.scenarios[:, 0], samples.scenarios[:, j])
+        for n in (5, 128):
+            samples = sample_demands(n, 100, 20, 1.0, 200, seed=2)
+            for j in range(1, n):
+                assert np.array_equal(samples.scenarios[:, 0], samples.scenarios[:, j])
+
+    @pytest.mark.parametrize("n,rho", [(1, 0.0), (1, 0.5), (1, -0.9), (1, 1.0),
+                                       (4, 0.0), (128, 0.0)])
+    def test_single_agent_and_independent_draws_are_scaled_normals(self, n, rho):
+        # with n = 1 or rho = 0 the one-factor term vanishes: D = mu + sigma * Z exactly
+        samples = sample_demands(n, 100, 20, rho, 1000, seed=15)
+        z = np.random.Generator(np.random.Philox(key=15)).standard_normal((1000, n))
+        assert np.array_equal(samples.scenarios, 100 + 20 * z)
+
+    @pytest.mark.parametrize("rho", [near_lower_rho(128), 0.9])
+    def test_equicorrelated_moments_at_n128(self, rho):
+        # Sample covariance S of the columns. Its mean diagonal estimates sigma^2,
+        # its mean off-diagonal over the mean diagonal estimates rho. Under the
+        # model sum(S)/n ~ sigma^2 b^2 chi2(c-1)/(c-1) and trace(S) - sum(S)/n ~
+        # sigma^2 (n-1) a^2 chi2((c-1)(n-1))/(c-1), independently, with
+        # a^2 = 1 - rho, b^2 = 1 + (n-1) rho; the delta method gives the SEs.
+        n, count, sigma = 128, 20_000, 20.0
+        samples = sample_demands(n, 100, sigma, rho, count, seed=16)
+        total = samples.scenarios.var(axis=0, ddof=1).sum()
+        grand = samples.scenarios.sum(axis=1).var(ddof=1)
+        variance = total / (n * sigma**2)
+        corr = (grand - total) / ((n - 1) * total)
+        a2, b2 = 1.0 - rho, 1.0 + (n - 1) * rho
+        se_variance = math.sqrt(2 * (b2**2 + (n - 1) * a2**2) / (count - 1)) / n
+        se_corr = math.sqrt(2 / (n * (n - 1) * (count - 1))) * a2 * b2
+        assert abs(variance - 1.0) <= 5 * se_variance
+        assert abs(corr - rho) <= 5 * se_corr
 
     def test_negative_correlation_recovered(self):
         samples = sample_demands(4, 100, 20, -0.2, 100_000, seed=3)
@@ -67,6 +123,11 @@ class TestSampleDemands:
             (dict(n=4, mu=100, sigma=0.0, rho=0.0, count=10, seed=0), "sigma"),
             (dict(n=4, mu=100, sigma=20, rho=0.0, count=0, seed=0), "count"),
             (dict(n=0, mu=100, sigma=20, rho=0.0, count=10, seed=0), "n must be"),
+            (dict(n=4, mu=math.nan, sigma=20, rho=0.0, count=10, seed=0), "mu must be finite"),
+            (dict(n=4, mu=math.inf, sigma=20, rho=0.0, count=10, seed=0), "mu must be finite"),
+            (dict(n=4, mu=100, sigma=math.nan, rho=0.0, count=10, seed=0), "sigma must be finite"),
+            (dict(n=4, mu=100, sigma=math.inf, rho=0.0, count=10, seed=0), "sigma must be finite"),
+            (dict(n=4, mu=100, sigma=20, rho=math.nan, count=10, seed=0), "outside"),
         ],
     )
     def test_domain_errors(self, kwargs, fragment):
@@ -114,6 +175,48 @@ class TestEstimateProfit:
         samples = sample_demands(2, 100, 20, 0.0, 1, seed=9)
         with pytest.raises(ValueError, match="at least 2"):
             estimate_profit(100.0, samples, MEAN_GAME)
+
+
+class TestEstimatorKernel:
+    @pytest.mark.parametrize("n", [1, 2, 7, 128])
+    @pytest.mark.parametrize("rho_kind", ["lower", "0", "0.5", "1"])
+    def test_matches_per_element_formula(self, n, rho_kind):
+        rho = near_lower_rho(n) if rho_kind == "lower" else float(rho_kind)
+        params = MarketParams(r=10, c=6, nu=2, t=2, mu=100, sigma=20, rho=rho)
+        samples = sample_demands(n, 100, 20, rho, 10_000, seed=18)
+        x = 103.0
+        for est, values in (
+            (estimate_profit(x, samples, params),
+             reference_profits(x, samples.scenarios, params)),
+            (estimate_transshipment(x, samples),
+             reference_transshipments(x, samples.scenarios)),
+        ):
+            mean, std_error = reference_estimate(values)
+            assert est.count == samples.count
+            assert est.mean == pytest.approx(mean, rel=1e-12)
+            assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 128])
+    def test_block_size_does_not_change_estimates(self, monkeypatch, n):
+        samples = sample_demands(n, 100, 20, 0.3, 3001, seed=19)
+        blocked = (estimate_profit(97.0, samples, MEAN_GAME),
+                   estimate_transshipment(97.0, samples))
+        for block in (1, samples.count, samples.count * n):
+            monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block)
+            assert (estimate_profit(97.0, samples, MEAN_GAME),
+                    estimate_transshipment(97.0, samples)) == blocked
+
+    def test_memory_stays_below_a_quarter_of_the_matrix(self):
+        samples = sample_demands(64, 100, 20, 0.3, 50_000, seed=20)
+        for estimate in (lambda: estimate_profit(100.0, samples, MEAN_GAME),
+                         lambda: estimate_transshipment(100.0, samples)):
+            tracemalloc.start()
+            try:
+                estimate()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < samples.scenarios.nbytes / 4
 
 
 class TestEstimateTransshipment:
