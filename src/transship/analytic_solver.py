@@ -198,13 +198,17 @@ def solve_optimal_quantity(n: int, params: MarketParams) -> SolveResult:
     return _build_result(n, econ, params)
 
 
-def _profit_at(y: float, n: int, L: float, econ: DerivedEconomics,
-               mu: float, sigma: float, t: float) -> float:
+def _profit_at(y, n: int, L: float, econ: DerivedEconomics,
+               mu: float, sigma: float, t: float, antiderivative):
     # J_n(X) = n*(g*X - t*sigma*A(Y) - p*sigma*A(L Y)/L) with A the cdf antiderivative.
+    # The one copy of J_n: y is a float and A is cdf_antiderivative, or y is a
+    # float64 array and A the elementwise form of it. numpy applies these
+    # operations in this order to each element, so each is bit-identical to
+    # the float result.
     x = mu + sigma * y
     return n * (econ.g * x
-                - t * sigma * cdf_antiderivative(y)
-                - econ.p * sigma * cdf_antiderivative(L * y) / L)
+                - t * sigma * antiderivative(y)
+                - econ.p * sigma * antiderivative(L * y) / L)
 
 
 def expected_profit(x: float, n: int, params: MarketParams) -> float:
@@ -216,7 +220,7 @@ def expected_profit(x: float, n: int, params: MarketParams) -> float:
     y = (x - params.mu) / params.sigma
     if not math.isfinite(y):
         raise ValueError(f"quantity x must be finite, got {x!r}")
-    return _profit_at(y, n, L, econ, params.mu, params.sigma, params.t)
+    return _profit_at(y, n, L, econ, params.mu, params.sigma, params.t, cdf_antiderivative)
 
 
 def equal_allocation(n: int, params: MarketParams) -> float:

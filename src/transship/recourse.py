@@ -9,7 +9,10 @@ p * min(sum(H), sum(E)).
 All internal arithmetic uses `fractions.Fraction`. Float inputs are dyadic
 rationals, so sums, minima, and products stay exact and the results round to
 float exactly once at the end; the symmetric shortcut and the general solver
-therefore agree bit-for-bit on uniform profit matrices.
+therefore agree bit-for-bit on uniform profit matrices. Each shipment is its
+exact flow rounded to the nearest float on its own, so a row or column total
+of the float plan can exceed H_i or E_j in exact arithmetic, by at most n/2
+units in the last place of the bound; the exact flows never do.
 """
 
 from __future__ import annotations
@@ -117,7 +120,13 @@ class SurplusShortage:
 
 @dataclass(frozen=True)
 class TransshipmentPlan:
-    """An optimal shipping plan: W[i][j] units from i to j, and its profit."""
+    """An optimal shipping plan: W[i][j] units from i to j, and its profit.
+
+    The solver's flows are exact rationals. Each W[i][j] is its flow rounded
+    to the nearest float, and objective is the exact profit rounded once. A
+    row total sum_j W[i][j] (or column total) can therefore exceed H_i (or
+    E_j) in exact arithmetic, by up to n/2 ulp of that bound.
+    """
 
     shipments: tuple[tuple[float, ...], ...]
     objective: float

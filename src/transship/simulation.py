@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -18,6 +19,7 @@ import numpy as np
 
 from .analytic_solver import _profit_at
 from .game_model import MarketParams, ParameterError, pooling_factor, validate_params
+from .normal_math import _INV_SQRT_2PI, _SQRT_2
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -174,30 +176,69 @@ def estimate_transshipment(x: float, samples: DemandMatrix) -> McEstimate:
     return _summarize(np.minimum(surplus, shortage))
 
 
+# Grid points per block of the profit kernel: its scratch memory does not
+# grow with grid_points.
+_GRID_BLOCK = 2048
+
+
+def _cdf_antiderivative_array(ys: np.ndarray) -> np.ndarray:
+    """normal_math.cdf_antiderivative applied to each element of a 1-d array.
+
+    Bit-identical to the scalar form: each element goes through the same libm
+    calls (math.erfc and math.exp; np.exp differs from math.exp in the last
+    bit on some inputs) and the same float operations in the same order.
+    """
+    if not np.isfinite(ys).all():
+        raise ValueError(f"y must be finite, got {float(ys[~np.isfinite(ys)][0])!r}")
+    m = ys.shape[0]
+    cdf = np.fromiter(map(math.erfc, (-ys / _SQRT_2).tolist()), float, m)
+    cdf *= 0.5
+    pdf = np.fromiter(map(math.exp, (-0.5 * ys * ys).tolist()), float, m)
+    pdf *= _INV_SQRT_2PI
+    value = ys * cdf
+    value += pdf
+    value[~(value > 0.0)] = 0.0
+    return value
+
+
 def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
                         grid_points: int) -> tuple[float, float]:
     """Maximize the closed-form profit on a grid around the demand mean.
 
     Evaluates J_n on grid_points equally spaced quantities in
-    [mu - w*sigma, mu + w*sigma] and returns (best x, best profit). Grid
-    search is method-independent of the root-finder, so agreement within one
-    grid spacing validates both the first-order condition and its solver.
+    [mu - w*sigma, mu + w*sigma] and returns (best x, best profit), taking
+    the first grid point where the profit is largest. Grid search is
+    method-independent of the root-finder, so agreement within one grid
+    spacing validates both the first-order condition and its solver.
+
+    The grid is evaluated in blocks of _GRID_BLOCK points by the array form of
+    J_n, whose results are bit-identical to evaluating each point on its own.
+    A nan or +inf profit on the grid, from overflow at huge widths, raises
+    ValueError.
     """
     econ = validate_params(params)
-    if grid_points < 3 or grid_points % 2 == 0:
-        raise ValueError(f"grid_points must be an odd integer >= 3, got {grid_points}")
-    if grid_half_width <= 0:
-        raise ValueError(f"grid_half_width must be positive, got {grid_half_width}")
+    if (not isinstance(grid_points, numbers.Integral) or grid_points < 3
+            or grid_points % 2 == 0):
+        raise ValueError(f"grid_points must be an odd integer >= 3, got {grid_points!r}")
+    if not (math.isfinite(grid_half_width) and grid_half_width > 0):
+        raise ValueError(f"grid_half_width must be finite and positive, got {grid_half_width!r}")
     L = pooling_factor(n, params.rho)
     mu, sigma, t = params.mu, params.sigma, params.t
     ys = np.linspace(-grid_half_width, grid_half_width, grid_points)
-    best_y = ys[0]
-    best_profit = -math.inf
-    for y in ys:
-        value = _profit_at(float(y), n, L, econ, mu, sigma, t)
+    best_y = best_profit = -math.inf
+    for lo in range(0, grid_points, _GRID_BLOCK):
+        block = ys[lo:lo + _GRID_BLOCK]
+        # Overflow gives inf or nan silently, as in floats; np.argmax returns
+        # the first nan, or else +inf, and either is rejected below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _profit_at(block, n, L, econ, mu, sigma, t, _cdf_antiderivative_array)
+        k = int(np.argmax(values))
+        value = float(values[k])
+        if not math.isfinite(value):
+            raise ValueError(f"expected profit is {value!r} at x = {mu + sigma * float(block[k])!r}")
         if value > best_profit:
             best_profit = value
-            best_y = float(y)
+            best_y = float(block[k])
     return mu + sigma * best_y, best_profit
 
 

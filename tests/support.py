@@ -79,3 +79,22 @@ def enumerate_best_plan(surplus, shortage, profit) -> float:
 
     recurse(0, Fraction(0))
     return float(best)
+
+
+def lp_best_plan(surplus, shortage, profit) -> float:
+    """max sum p_ij W_ij s.t. row sums <= H, column sums <= E, W >= 0, by
+    HiGHS in floats: an oracle independent of the exact solver."""
+    from scipy.optimize import linprog
+
+    n = len(surplus)
+    rows = np.zeros((n, n * n))
+    cols = np.zeros((n, n * n))
+    for i in range(n):
+        rows[i, i * n:(i + 1) * n] = 1.0
+        cols[i, i::n] = 1.0
+    result = linprog(-np.asarray(profit, dtype=float).ravel(),
+                     A_ub=np.vstack([rows, cols]),
+                     b_ub=np.concatenate([surplus, shortage]),
+                     bounds=(0, None), method="highs")
+    assert result.status == 0, result.message
+    return -float(result.fun)

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from support import enumerate_best_plan, random_surplus_shortage
+from support import enumerate_best_plan, lp_best_plan, random_surplus_shortage
 from transship.recourse import (
     GeneralAgentParams,
     SurplusShortage,
@@ -195,3 +196,37 @@ class TestSolveTransshipmentPlan:
         ss = SurplusShortage((1.0, 0.0), (0.0, 1.0))
         with pytest.raises(ValueError, match="finite"):
             solve_transshipment_plan(ss, [[0.0, math.inf], [0.0, 0.0]])
+
+
+def exact_overshoots(plan, surplus, shortage):
+    """Exact row total minus H_i and column total minus E_j of a float plan."""
+    n = len(surplus)
+    rows = [sum(map(Fraction, plan.shipments[i])) - Fraction(surplus[i]) for i in range(n)]
+    cols = [sum(Fraction(plan.shipments[i][j]) for i in range(n)) - Fraction(shortage[j])
+            for j in range(n)]
+    return rows, cols
+
+
+class TestFloatPlanRounding:
+    def test_rounded_shipments_can_overshoot_a_bound(self):
+        # Each shipment is its exact flow rounded on its own, so a total may
+        # exceed its bound; here agent 1 ships 8.9e-16 (a quarter ulp) too much.
+        rng = np.random.default_rng(16)
+        surplus, shortage = random_surplus_shortage(rng, 11, max_units=50.0)
+        profit = [[float(rng.uniform(-2.0, 10.0)) for _ in range(11)] for _ in range(11)]
+        plan = solve_transshipment_plan(SurplusShortage(surplus, shortage), profit)
+        rows, _ = exact_overshoots(plan, surplus, shortage)
+        assert 0 < rows[0] <= math.ulp(surplus[0]) / 4
+
+    def test_general_plans_match_highs(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(41)
+        for n in (12, 19, 26, 33, 40):
+            surplus, shortage = random_surplus_shortage(rng, n, max_units=50.0)
+            profit = [[float(rng.uniform(-2.0, 10.0)) for _ in range(n)] for _ in range(n)]
+            plan = solve_transshipment_plan(SurplusShortage(surplus, shortage), profit)
+            assert plan.objective == pytest.approx(lp_best_plan(surplus, shortage, profit),
+                                                   rel=1e-9)
+            rows, cols = exact_overshoots(plan, surplus, shortage)
+            for over, bound in zip(rows + cols, surplus + shortage):
+                assert over <= Fraction(n * math.ulp(bound))

@@ -7,13 +7,14 @@ import pytest
 
 from support import random_market_params
 from transship.analytic_solver import (
+    _profit_at,
     expected_profit,
     expected_transshipment,
     solve_optimal_quantity,
 )
 from transship import simulation
-from transship.game_model import MarketParams, ParameterError, validate_params
-from transship.normal_math import cdf_antiderivative
+from transship.game_model import MarketParams, ParameterError, pooling_factor, validate_params
+from transship.normal_math import cdf_antiderivative, std_cdf, std_pdf
 from transship.simulation import (
     RNG_ALGORITHM,
     brute_force_optimal,
@@ -50,6 +51,36 @@ def reference_transshipments(x, demands):
 
 def reference_estimate(values):
     return values.mean(), values.std(ddof=1) / math.sqrt(values.shape[0])
+
+
+def reference_profit(y, n, L, econ, mu, sigma, t):
+    """J_n at standardized quantity y, in scalar floats: the oracle that the
+    array profit kernel must match bit for bit."""
+    x = mu + sigma * y
+    return n * (econ.g * x
+                - t * sigma * cdf_antiderivative(y)
+                - econ.p * sigma * cdf_antiderivative(L * y) / L)
+
+
+def reference_brute_force(params, n, grid_half_width, grid_points):
+    """The grid search one point at a time."""
+    econ = validate_params(params)
+    L = pooling_factor(n, params.rho)
+    mu, sigma, t = params.mu, params.sigma, params.t
+    ys = np.linspace(-grid_half_width, grid_half_width, grid_points)
+    best_y = ys[0]
+    best_profit = -math.inf
+    for y in ys:
+        value = reference_profit(float(y), n, L, econ, mu, sigma, t)
+        if value > best_profit:
+            best_profit = value
+            best_y = float(y)
+    return mu + sigma * best_y, best_profit
+
+
+def deep_tail_market(fractile, rho):
+    """A market whose critical fractile R is `fractile`, up to rounding."""
+    return MarketParams(r=10, c=10 - 8 * fractile, nu=2, t=1, mu=100, sigma=20, rho=rho)
 
 
 class TestSampleDemands:
@@ -337,6 +368,96 @@ class TestBruteForceOptimal:
             brute_force_optimal(MEAN_GAME, 1, 6.0, 1)
         with pytest.raises(ValueError, match="positive"):
             brute_force_optimal(MEAN_GAME, 1, -1.0, 2001)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_bad_grid_width(self, width):
+        with pytest.raises(ValueError, match="grid_half_width must be finite and positive"):
+            brute_force_optimal(MEAN_GAME, 1, width, 2001)
+
+    @pytest.mark.parametrize("points", [2001.0, 2001.5, "2001"])
+    def test_rejects_bad_grid_points(self, points):
+        with pytest.raises(ValueError, match="odd integer"):
+            brute_force_optimal(MEAN_GAME, 1, 6.0, points)
+
+    def test_accepts_numpy_integer_points(self):
+        assert brute_force_optimal(MEAN_GAME, 4, 6.0, np.int64(2001)) == \
+            brute_force_optimal(MEAN_GAME, 4, 6.0, 2001)
+
+    def test_rejects_non_finite_profit(self):
+        # mu + sigma * w overflows at the grid's ends, so J_n is nan there
+        with pytest.raises(ValueError, match="expected profit is nan"):
+            brute_force_optimal(MEAN_GAME, 1, 1e307, 2001)
+
+
+class TestProfitKernel:
+    @pytest.mark.parametrize("n", [1, 200])
+    @pytest.mark.parametrize("rho_kind", ["1", "0", "negative"])
+    def test_bit_identical_to_scalar_loop(self, n, rho_kind):
+        rng = np.random.default_rng(22 + n)
+        rho = {"1": 1.0, "0": 0.0, "negative": -0.9 / max(1, n - 1)}[rho_kind]
+        cases = [(random_market_params(rng, rho=rho), 6.0) for _ in range(2)]
+        # deep tails with a 40-sigma grid, past y = -38.3 where A rounds to 0
+        # or below and is clipped
+        cases += [(deep_tail_market(1e-10, rho), 40.0),
+                  (deep_tail_market(1.0 - 1e-10, rho), 40.0)]
+        for params, width in cases:
+            for points in (3, 2049, 20001):
+                assert brute_force_optimal(params, n, width, points) == \
+                    reference_brute_force(params, n, width, points)
+
+    def test_deep_tail_cases_reach_the_clip(self):
+        ys = np.linspace(-40.0, 40.0, 20001).tolist()
+        assert any(y * std_cdf(y) + std_pdf(y) <= 0.0 for y in ys)
+
+    def test_antiderivative_array_matches_scalar(self):
+        # every element, not only the argmax: a last-bit slip in phi or a
+        # missing clip hides inside the profit at the grid's best point
+        ys = np.linspace(-40.0, 40.0, 20001)
+        assert simulation._cdf_antiderivative_array(ys).tolist() == \
+            [cdf_antiderivative(y) for y in ys.tolist()]
+
+    @pytest.mark.parametrize("n,rho", [(1, 0.0), (200, 0.0), (200, 1.0), (200, -0.9 / 199)])
+    def test_profit_curve_matches_scalar_formula(self, n, rho):
+        params = MarketParams(r=10, c=7, nu=2, t=3, mu=100, sigma=20, rho=rho)
+        econ, L = validate_params(params), pooling_factor(n, params.rho)
+        ys = np.linspace(-40.0, 40.0, 2049)
+        curve = _profit_at(ys, n, L, econ, params.mu, params.sigma, params.t,
+                           simulation._cdf_antiderivative_array)
+        assert curve.tolist() == [reference_profit(y, n, L, econ, params.mu, params.sigma,
+                                                   params.t) for y in ys.tolist()]
+
+    def test_expected_profit_matches_scalar_formula(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            params = random_market_params(rng, rho_range=(-0.01, 1.0))
+            n = int(rng.integers(1, 50))
+            econ, L = validate_params(params), pooling_factor(n, params.rho)
+            for y in rng.uniform(-45.0, 45.0, 25).tolist():
+                x = params.mu + params.sigma * y
+                assert expected_profit(x, n, params) == reference_profit(
+                    (x - params.mu) / params.sigma, n, L, econ,
+                    params.mu, params.sigma, params.t)
+
+    @pytest.mark.parametrize("block", [1, 2, 2048, 20001])
+    def test_block_size_does_not_change_result(self, monkeypatch, block):
+        params = MarketParams(r=10, c=7, nu=2, t=3, mu=100, sigma=20, rho=0.1)
+        expected = reference_brute_force(params, 5, 6.0, 4001)
+        monkeypatch.setattr(simulation, "_GRID_BLOCK", block)
+        assert brute_force_optimal(params, 5, 6.0, 4001) == expected
+
+    def test_scratch_memory_bounded_by_block(self):
+        # The grid itself is 8 bytes a point; the kernel's scratch must not
+        # grow with the number of points.
+        params = MarketParams(r=10, c=7, nu=2, t=3, mu=100, sigma=20, rho=0.1)
+        peaks = []
+        for points in (4097, 32769):
+            tracemalloc.start()
+            try:
+                brute_force_optimal(params, 5, 6.0, points)
+                peaks.append(tracemalloc.get_traced_memory()[1] - 8 * points)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestScenarioDump:
