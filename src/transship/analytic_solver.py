@@ -21,6 +21,7 @@ from .game_model import (
     DerivedEconomics,
     GameType,
     MarketParams,
+    _fractile_quantile,
     classify_game,
     pooling_factor,
     validate_params,
@@ -43,8 +44,6 @@ __all__ = [
     "quantity_sequence",
 ]
 
-# The residual saturates far inside +-12 standard deviations for any valid R.
-_BRACKET = 12.0
 _MAX_BISECT = 200
 _WIDTH_TOL = 1e-13
 
@@ -113,30 +112,31 @@ class SequenceReport:
     sign_preserved: bool
 
 
+def _condition(y: float, L: float, gam: float, gamt: float, R: float) -> float:
+    return gam * std_cdf(y) + gamt * std_cdf(L * y) - R
+
+
 def optimality_residual(y: float, n: int, econ: DerivedEconomics, rho: float) -> float:
     """gamma*Phi(y) + gamma_tilde*Phi(L_n*y) - R; strictly increasing in y."""
     L = pooling_factor(n, rho)
-    return econ.gamma * std_cdf(y) + econ.gamma_tilde * std_cdf(L * y) - econ.R
+    return _condition(y, L, econ.gamma, econ.gamma_tilde, econ.R)
 
 
 def _solve_y(econ: DerivedEconomics, L: float) -> float:
-    """Root of the optimality condition for a fixed pooling factor L."""
+    """Root of the optimality condition for a fixed pooling factor L >= 1.
+
+    With q = Phi^-1(R) the condition is gamma_tilde*(Phi(L*q) - R) at q and
+    gamma*(Phi(q/L) - R) at q/L, never of the same sign, so the root lies
+    between them. When L = 1 or R = 1/2 the bracket is the single point q.
+    """
     R, gam, gamt = econ.R, econ.gamma, econ.gamma_tilde
-
-    def f(y: float) -> float:
-        return gam * std_cdf(y) + gamt * std_cdf(L * y) - R
-
-    if 0.5 - R == 0.0:
-        return 0.0  # mean game: both terms hit 1/2 at y = 0
-    lo, hi = -_BRACKET, _BRACKET
-    if not f(lo) < 0.0 < f(hi):
-        raise RuntimeError(
-            f"failed to bracket the optimality condition on [-{_BRACKET}, {_BRACKET}] "
-            f"(R = {R})"
-        )
+    q = _fractile_quantile(econ)
+    lo, hi = sorted((q / L, q))
+    if lo == hi:
+        return q
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = _condition(mid, L, gam, gamt, R)
         if fm == 0.0:
             return mid
         if fm < 0.0:
@@ -149,8 +149,9 @@ def _solve_y(econ: DerivedEconomics, L: float) -> float:
     # One Newton polish with the analytic derivative; keep it only if it helps.
     deriv = gam * std_pdf(y) + gamt * L * std_pdf(L * y)
     if deriv > 0.0 and math.isfinite(deriv):
-        candidate = y - f(y) / deriv
-        if math.isfinite(candidate) and abs(f(candidate)) <= abs(f(y)):
+        fy = _condition(y, L, gam, gamt, R)
+        candidate = y - fy / deriv
+        if math.isfinite(candidate) and abs(_condition(candidate, L, gam, gamt, R)) <= abs(fy):
             y = candidate
     return y
 
@@ -170,13 +171,8 @@ def _transshipment(y: float, n: int, L: float, sigma: float) -> float:
 
 
 def _build_result(n: int, econ: DerivedEconomics, params: MarketParams) -> SolveResult:
-    if params.rho == 1.0:
-        # L_n = 1 for every n: the condition collapses to Phi(Y) = R.
-        y = std_inv_cdf(econ.R)
-        L = 1.0
-    else:
-        L = pooling_factor(n, params.rho)
-        y = _solve_y(econ, L)
+    L = pooling_factor(n, params.rho)
+    y = _solve_y(econ, L)
     allocation = _per_agent_profit(y, L, econ, params)
     return SolveResult(
         n=n,
@@ -185,7 +181,7 @@ def _build_result(n: int, econ: DerivedEconomics, params: MarketParams) -> Solve
         profit=n * allocation,
         allocation=allocation,
         transshipment=_transshipment(y, n, L, params.sigma),
-        residual=abs(econ.gamma * std_cdf(y) + econ.gamma_tilde * std_cdf(L * y) - econ.R),
+        residual=abs(_condition(y, L, econ.gamma, econ.gamma_tilde, econ.R)),
         no_shortage_prob=std_cdf(y),
     )
 
@@ -204,11 +200,11 @@ def _profit_at(y, n: int, L: float, econ: DerivedEconomics,
     # The one copy of J_n: y is a float and A is cdf_antiderivative, or y is a
     # float64 array and A the elementwise form of it. numpy applies these
     # operations in this order to each element, so each is bit-identical to
-    # the float result.
+    # the float result. At L = 1, L*y and /L are exact, so A(y) serves twice.
     x = mu + sigma * y
-    return n * (econ.g * x
-                - t * sigma * antiderivative(y)
-                - econ.p * sigma * antiderivative(L * y) / L)
+    a = antiderivative(y)
+    pooled = a if L == 1.0 else antiderivative(L * y)
+    return n * (econ.g * x - t * sigma * a - econ.p * sigma * pooled / L)
 
 
 def expected_profit(x: float, n: int, params: MarketParams) -> float:

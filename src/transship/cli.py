@@ -204,19 +204,14 @@ def _cmd_core_check(args, out) -> int:
     report = core_analysis.check_equal_allocation_core(params, args.n, args.tolerance)
     if args.format == "json":
         print(report.to_json(), file=out)
-    elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["n", "in_core", "worst_margin", "witness_m", "beta_n"])
-        writer.writerow([report.n, report.in_core, _fmt(report.worst_margin),
-                         report.witness_m, _fmt(report.beta[-1])])
     else:
-        _print_pairs([
+        _emit_record([
             ("n", report.n),
             ("in_core", report.in_core),
             ("worst_margin", report.worst_margin),
             ("witness_m", report.witness_m),
             ("beta_n", report.beta[-1]),
-        ], out)
+        ], args.format, out)
     return 0
 
 

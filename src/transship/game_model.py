@@ -132,6 +132,16 @@ def classify_game(econ: DerivedEconomics, tol: float = MEAN_GAME_TOL) -> GameTyp
     return GameType.OVER_MEAN if d > 0 else GameType.UNDER_MEAN
 
 
+def _fractile_quantile(econ: DerivedEconomics) -> float:
+    """Phi^-1(R), or a ParameterError when R has rounded to 0 or 1."""
+    if not 0.0 < econ.R < 1.0:
+        raise ParameterError(
+            f"critical fractile R = g/(g + g_tilde) = {econ.R!r} with g = {econ.g!r}, "
+            f"g_tilde = {econ.g_tilde!r}: R must lie strictly inside (0, 1) in floating point"
+        )
+    return std_inv_cdf(econ.R)
+
+
 def pooling_factor(n: int, rho: float) -> float:
     """Risk-pooling factor L_n = sqrt(n / (1 + (n-1)*rho)); L_1 = 1.
 
@@ -158,7 +168,7 @@ def demand_feasibility_check(params: MarketParams) -> FeasibilityReport:
     that the closed-form profits stay non-negative. Requires mu > 0.
     """
     econ = validate_params(params)
-    bound = econ.R / std_pdf(std_inv_cdf(econ.R))
+    bound = econ.R / std_pdf(_fractile_quantile(econ))
     if params.mu <= 0:
         return FeasibilityReport(
             feasible=False, cv=math.inf, bound=bound,

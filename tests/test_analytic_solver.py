@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from transship.analytic_solver import (
 from transship.game_model import (
     GameType,
     MarketParams,
+    ParameterError,
     pooling_factor,
     validate_params,
 )
@@ -85,6 +87,34 @@ class TestSolveOptimalQuantity:
             for n in (1, 2, 5, 20, 100):
                 res = solve_optimal_quantity(n, params)
                 assert res.residual <= 1e-12
+
+    def test_root_between_fractile_and_its_pooled_image(self):
+        # With q = Phi^-1(R), the root lies in the closed interval between
+        # q/L_n and q; n = 1 leaves only q itself.
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            params = random_market_params(rng)
+            econ = validate_params(params)
+            q = std_inv_cdf(econ.R)
+            for n in (1, 2, 5, 20, 100):
+                for rho in (params.rho, -1.0 / max(n - 1, 1) + 1e-6):
+                    at_rho = MarketParams(params.r, params.c, params.nu, params.t,
+                                          params.mu, params.sigma, rho)
+                    L = pooling_factor(n, rho)
+                    y = solve_optimal_quantity(n, at_rho).y_opt
+                    assert min(q / L, q) <= y <= max(q / L, q)
+
+    def test_no_pooling_gives_the_fractile_exactly(self):
+        # L_n = 1 (n = 1, or rho = 1 for every n) reduces the condition to Phi(Y) = R.
+        rng = np.random.default_rng(43)
+        markets = [OVER_GAME, UNDER_T2] + [random_market_params(rng) for _ in range(10)]
+        for params in markets:
+            q = std_inv_cdf(validate_params(params).R)
+            assert solve_optimal_quantity(1, params).y_opt == q
+            perfect = MarketParams(params.r, params.c, params.nu, params.t,
+                                   params.mu, params.sigma, 1.0)
+            for n in (1, 4, 200):
+                assert solve_optimal_quantity(n, perfect).y_opt == q
 
     def test_near_singular_correlation_boundary(self):
         # rho just above -1/(n-1) makes the pooling factor huge and the
@@ -403,3 +433,30 @@ class TestQuantitySequence:
         assert len({r.y_opt for r in results}) == 1
         assert not report.y_monotone
         assert report.sign_preserved
+
+
+class TestFractileRoundedToBound:
+    # g/(g + g_tilde) rounds to 1.0 and to 0.0, so Phi^-1(R) is infinite.
+    R_ONE = MarketParams(r=1e17, c=2, nu=1, t=1, mu=100, sigma=20, rho=0)
+    R_ZERO = MarketParams(r=2e-300, c=1e-300, nu=-1e300, t=0, mu=100, sigma=20, rho=0)
+
+    @pytest.mark.parametrize("params, shown", [(R_ONE, "R = g/(g + g_tilde) = 1.0"),
+                                               (R_ZERO, "R = g/(g + g_tilde) = 0.0")])
+    def test_solves_raise_parameter_error(self, params, shown):
+        econ = validate_params(params)
+        names = f"g = {econ.g!r}, g_tilde = {econ.g_tilde!r}"
+        for rho in (0.0, 0.5, 1.0):
+            at_rho = MarketParams(params.r, params.c, params.nu, params.t,
+                                  params.mu, params.sigma, rho)
+            for n in (1, 4):
+                with pytest.raises(ParameterError, match=re.escape(shown)) as info:
+                    solve_optimal_quantity(n, at_rho)
+                assert names in str(info.value)
+                assert "\n" not in str(info.value)
+            with pytest.raises(ParameterError, match=re.escape(shown)):
+                quantity_sequence(at_rho, 3)
+
+    def test_closed_forms_that_need_no_quantile_still_work(self):
+        params = self.R_ONE
+        assert math.isfinite(expected_profit(100.0, 4, params))
+        assert limit_analysis(params).game_type is GameType.OVER_MEAN

@@ -40,6 +40,15 @@ class TestSolve:
         assert code != 0
         assert "violates nu < c < r" in capsys.readouterr().err
 
+    def test_fractile_rounded_to_one_exits_with_one_line(self, capsys):
+        code, text = run_cli(["solve", "--r", "1e17", "--c", "2", "--nu", "1", "--t", "1",
+                              "--mu", "100", "--sigma", "20", "--rho", "0", "--n", "4"])
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: critical fractile R = g/(g + g_tilde) = 1.0")
+
     def test_csv_round_trip(self):
         code, text = run_cli(["solve", *MEAN_ARGS, "--n", "3", "--format", "csv"])
         assert code == 0
@@ -153,7 +162,8 @@ class TestSimulate:
         code, _ = run_cli(["simulate", *MEAN_ARGS, "--n", "3", "--count", "50",
                            "--dump-scenarios", str(path)])
         assert code == 0
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == ["scenario_id", "D_1", "D_2", "D_3"]
         assert len(rows) == 51
 
@@ -168,6 +178,21 @@ class TestCoreCheck:
         assert record["in_core"] is True
         assert record["beta"] == list(report.beta)
         assert record["worst_margin"] == report.worst_margin
+
+    def test_csv_text(self):
+        code, text = run_cli(["core-check", *MEAN_ARGS, "--n", "10", "--format", "csv"])
+        assert code == 0
+        assert text == ("n,in_core,worst_margin,witness_m,beta_n\r\n"
+                        "10,True,0.8188960839363517,9,368.90351365182175\r\n")
+
+    def test_table_text(self):
+        code, text = run_cli(["core-check", *MEAN_ARGS, "--n", "10"])
+        assert code == 0
+        assert text == ("n             10\n"
+                        "in_core       True\n"
+                        "worst_margin  0.8188960839363517\n"
+                        "witness_m     9\n"
+                        "beta_n        368.90351365182175\n")
 
 
 class TestRecourse:

@@ -6,7 +6,7 @@ import pytest
 from support import random_market_params
 from transship.analytic_solver import solve_optimal_quantity
 from transship.core_analysis import characteristic_values, check_equal_allocation_core
-from transship.game_model import MarketParams, validate_params
+from transship.game_model import MarketParams, ParameterError, validate_params
 from transship.normal_math import std_inv_cdf, std_pdf
 
 MEAN_GAME = MarketParams(r=10, c=6, nu=2, t=2, mu=100, sigma=20, rho=0)
@@ -53,6 +53,13 @@ class TestCoreCheck:
         assert len(set(report.beta)) == 1  # no pooling benefit at all
         assert report.worst_margin == 0.0
         assert report.in_core
+
+    def test_fractile_rounded_to_one_rejected(self):
+        params = MarketParams(r=1e17, c=2, nu=1, t=1, mu=100, sigma=20, rho=0)
+        with pytest.raises(ParameterError, match="g_tilde = 1.0"):
+            check_equal_allocation_core(params, 3)
+        with pytest.raises(ParameterError, match="g_tilde = 1.0"):
+            characteristic_values(params, 3)
 
     def test_mean_game_strict_margin(self):
         report = check_equal_allocation_core(MEAN_GAME, 10)

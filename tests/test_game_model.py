@@ -163,6 +163,11 @@ class TestDemandFeasibility:
             MarketParams(r=10, c=6, nu=2, t=2, mu=100, sigma=1e-9, rho=0))
         assert report.feasible
 
+    def test_fractile_rounded_to_one_rejected(self):
+        # R = g/(g + g_tilde) rounds to 1.0, where the bound needs Phi^-1(R)
+        with pytest.raises(ParameterError, match="R = g/\\(g \\+ g_tilde\\) = 1.0"):
+            demand_feasibility_check(MarketParams(r=1e17, c=2, nu=1, t=1, mu=100, sigma=20, rho=0))
+
     def test_non_positive_mu_reported_failed(self):
         report = demand_feasibility_check(
             MarketParams(r=10, c=6, nu=2, t=2, mu=0.0, sigma=20, rho=0))

@@ -104,6 +104,17 @@ class TestInvCdf:
         for p in np.concatenate([lower, 1.0 - lower]):
             assert abs(std_cdf(std_inv_cdf(p)) - p) <= 1e-12
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_relative_accuracy_near_median(self, sign):
+        # Phi^-1(1/2 + d) = sqrt(2 pi) d (1 + pi d^2/3 + O(d^4)); the O(d^4)
+        # term is below 1e-19 for |d| <= 1e-5. p - 0.5 is exact (Sterbenz).
+        for offset in np.geomspace(1e-16, 1e-5, 45):
+            p = 0.5 + sign * offset
+            d = p - 0.5
+            assert d != 0.0
+            series = math.sqrt(2.0 * math.pi) * d * (1.0 + math.pi * d * d / 3.0)
+            assert abs(std_inv_cdf(p) - series) <= 1e-14 * abs(series)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, math.nan])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):

@@ -383,6 +383,13 @@ class TestBruteForceOptimal:
         assert brute_force_optimal(MEAN_GAME, 4, 6.0, np.int64(2001)) == \
             brute_force_optimal(MEAN_GAME, 4, 6.0, 2001)
 
+    def test_fractile_rounded_to_one_needs_no_quantile(self):
+        # R rounds to 1.0, which the solver rejects; J_n on a grid needs no Phi^-1(R)
+        params = MarketParams(r=1e17, c=2, nu=1, t=1, mu=100, sigma=20, rho=0)
+        x_best, j_best = brute_force_optimal(params, 4, 8.0, 101)
+        assert math.isfinite(j_best)
+        assert j_best == pytest.approx(expected_profit(x_best, 4, params), rel=1e-12)
+
     def test_rejects_non_finite_profit(self):
         # mu + sigma * w overflows at the grid's ends, so J_n is nan there
         with pytest.raises(ValueError, match="expected profit is nan"):
