@@ -21,6 +21,7 @@ from .game_model import (
     DerivedEconomics,
     GameType,
     MarketParams,
+    ParameterError,
     _fractile_quantile,
     classify_game,
     pooling_factor,
@@ -46,6 +47,8 @@ __all__ = [
 
 _MAX_BISECT = 200
 _WIDTH_TOL = 1e-13
+# Most coalition sizes one call solves: about 5 s of CPU (see README).
+_MAX_SIZES = 100_000
 
 
 class UnsupportedRegimeError(ValueError):
@@ -122,18 +125,18 @@ def optimality_residual(y: float, n: int, econ: DerivedEconomics, rho: float) ->
     return _condition(y, L, econ.gamma, econ.gamma_tilde, econ.R)
 
 
-def _solve_y(econ: DerivedEconomics, L: float) -> float:
-    """Root of the optimality condition for a fixed pooling factor L >= 1.
+def _solve_y(econ: DerivedEconomics, q: float, L: float) -> float:
+    """Root of the optimality condition for q = Phi^-1(R) and a pooling factor L >= 1.
 
-    With q = Phi^-1(R) the condition is gamma_tilde*(Phi(L*q) - R) at q and
-    gamma*(Phi(q/L) - R) at q/L, never of the same sign, so the root lies
-    between them. When L = 1 or R = 1/2 the bracket is the single point q.
+    The condition is gamma_tilde*(Phi(L*q) - R) at q and gamma*(Phi(q/L) - R)
+    at q/L, never of the same sign, so the root lies between them. It is q/L
+    itself when t = 0 (gamma = 0), and the single point q when L = 1 or R = 1/2.
     """
     R, gam, gamt = econ.R, econ.gamma, econ.gamma_tilde
-    q = _fractile_quantile(econ)
-    lo, hi = sorted((q / L, q))
-    if lo == hi:
-        return q
+    pooled = q / L
+    if pooled == q or gam == 0.0:
+        return pooled
+    lo, hi = sorted((pooled, q))
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         fm = _condition(mid, L, gam, gamt, R)
@@ -170,9 +173,9 @@ def _transshipment(y: float, n: int, L: float, sigma: float) -> float:
     return value if value > 0.0 else 0.0
 
 
-def _build_result(n: int, econ: DerivedEconomics, params: MarketParams) -> SolveResult:
+def _build_result(n: int, q: float, econ: DerivedEconomics, params: MarketParams) -> SolveResult:
     L = pooling_factor(n, params.rho)
-    y = _solve_y(econ, L)
+    y = _solve_y(econ, q, L)
     allocation = _per_agent_profit(y, L, econ, params)
     return SolveResult(
         n=n,
@@ -186,12 +189,21 @@ def _build_result(n: int, econ: DerivedEconomics, params: MarketParams) -> Solve
     )
 
 
+def _solve_sizes(params: MarketParams, sizes: range) -> tuple[DerivedEconomics, list[SolveResult]]:
+    """Validate the market once and solve each size in sizes: the loop behind every SolveResult."""
+    econ = validate_params(params)
+    count = sizes.stop - sizes.start  # len() overflows past 2**63 sizes
+    if count > _MAX_SIZES:
+        raise ParameterError(f"{count} coalition sizes requested; at most {_MAX_SIZES} per call")
+    pooling_factor(sizes.stop - 1, params.rho)  # n >= 1, rho > -1/(n-1): fail before any solve
+    q = _fractile_quantile(econ)
+    return econ, [_build_result(n, q, econ, params) for n in sizes]
+
+
 def solve_optimal_quantity(n: int, params: MarketParams) -> SolveResult:
     """Solve the size-n coalition problem and evaluate all closed forms at it."""
-    econ = validate_params(params)
-    if n < 1:
-        raise ValueError(f"coalition size n must be >= 1, got {n}")
-    return _build_result(n, econ, params)
+    _, (result,) = _solve_sizes(params, range(n, n + 1))
+    return result
 
 
 def _profit_at(y, n: int, L: float, econ: DerivedEconomics,
@@ -293,34 +305,25 @@ def finite_rho_limit_diagnostic(params: MarketParams) -> float:
         raise UnsupportedRegimeError(
             f"finite-rho diagnostic requires 0 < rho <= 1, got {params.rho}"
         )
-    return _solve_y(econ, 1.0 / math.sqrt(params.rho))
+    return _solve_y(econ, _fractile_quantile(econ), 1.0 / math.sqrt(params.rho))
 
 
 def quantity_sequence(params: MarketParams, n_max: int) -> tuple[list[SolveResult], SequenceReport]:
     """Solve for n = 1..n_max and report the monotonicity of {Y_n} and {L_n Y_n}."""
-    econ = validate_params(params)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    pooling_factor(n_max, params.rho)  # fail fast before the sweep
-    results = [_build_result(n, econ, params) for n in range(1, n_max + 1)]
-    ys = [res.y_opt for res in results]
-    lys = [pooling_factor(res.n, params.rho) * res.y_opt for res in results]
+    econ, results = _solve_sizes(params, range(1, n_max + 1))
     game_type = classify_game(econ)
-    if game_type is GameType.MEAN:
-        zero = all(y == 0.0 for y in ys)
-        report = SequenceReport(game_type, zero, zero, True)
-    elif game_type is GameType.OVER_MEAN:
-        report = SequenceReport(
-            game_type,
-            y_monotone=all(a > b for a, b in zip(ys, ys[1:])) and ys[-1] > 0.0,
-            ly_monotone=all(a < b for a, b in zip(lys, lys[1:])),
-            sign_preserved=all(y > 0.0 for y in ys),
-        )
-    else:
-        report = SequenceReport(
-            game_type,
-            y_monotone=all(a < b for a, b in zip(ys, ys[1:])) and ys[-1] < 0.0,
-            ly_monotone=all(a > b for a, b in zip(lys, lys[1:])),
-            sign_preserved=all(y < 0.0 for y in ys),
-        )
-    return results, report
+    # One rule on s = sign(R - 1/2): s*Y_n falls and stays positive, s*L_n*Y_n rises.
+    # A mean game has s = 0, so its Y_n count as 0 and every comparison is equal.
+    s = {GameType.OVER_MEAN: 1, GameType.UNDER_MEAN: -1, GameType.MEAN: 0}[game_type]
+    ys = [s * res.y_opt for res in results]
+    lys = [s * pooling_factor(res.n, params.rho) * res.y_opt for res in results]
+
+    def holds(a: float, b: float) -> bool:  # a > b, or a == b in a mean game
+        return (a > b) - (a < b) == abs(s)
+
+    return results, SequenceReport(
+        game_type,
+        y_monotone=all(map(holds, ys, ys[1:])) and holds(ys[-1], 0.0),
+        ly_monotone=all(map(holds, lys[1:], lys)),
+        sign_preserved=all(holds(y, 0.0) for y in ys),
+    )

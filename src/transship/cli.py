@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import analytic_solver, core_analysis, simulation
@@ -91,13 +92,8 @@ def _cmd_solve(args, out) -> int:
     return 0
 
 
-def _sweep_row(params: MarketParams, n: int, x: float):
-    res = analytic_solver.solve_optimal_quantity(n, params)
-    y_inf = ""
-    if params.rho == 0.0:
-        y_inf = analytic_solver.limit_analysis(params).y_inf
-    return (x, res.y_opt, res.no_shortage_prob, res.profit, res.allocation,
-            res.transshipment, y_inf)
+def _limit_column(params: MarketParams):
+    return analytic_solver.limit_analysis(params).y_inf if params.rho == 0.0 else ""
 
 
 def _cmd_sweep(args, out) -> int:
@@ -108,18 +104,21 @@ def _cmd_sweep(args, out) -> int:
         if args.steps < 2:
             raise ParameterError(f"--steps must be >= 2, got {args.steps}")
         span = args.sweep_to - args.sweep_from
-        xs = [args.sweep_from + span * k / (args.steps - 1) for k in range(args.steps)]
-        jobs = [(MarketParams(params.r, params.c, params.nu, x, params.mu,
-                              params.sigma, params.rho), args.n, x) for x in xs]
+        markets = [replace(params, t=args.sweep_from + span * k / (args.steps - 1))
+                   for k in range(args.steps)]
+        jobs = [(at_t.t, analytic_solver.solve_optimal_quantity(args.n, at_t),
+                 _limit_column(at_t)) for at_t in markets]
     else:
         if args.sweep_from != int(args.sweep_from) or args.sweep_to != int(args.sweep_to):
             raise ParameterError("--over n takes integer bounds")
         lo, hi = int(args.sweep_from), int(args.sweep_to)
         if lo < 1 or hi < lo:
             raise ParameterError(f"--over n needs 1 <= from <= to, got {lo}..{hi}")
-        jobs = [(params, n, float(n)) for n in range(lo, hi + 1)]
-
-    rows = [_sweep_row(*job) for job in jobs]
+        _, results = analytic_solver._solve_sizes(params, range(lo, hi + 1))
+        y_inf = _limit_column(params)
+        jobs = [(float(res.n), res, y_inf) for res in results]
+    rows = [(x, res.y_opt, res.no_shortage_prob, res.profit, res.allocation,
+             res.transshipment, y_inf) for x, res, y_inf in jobs]
 
     if args.format == "json":
         for row in rows:

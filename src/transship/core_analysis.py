@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .analytic_solver import _build_result
-from .game_model import MarketParams, validate_params
+from .analytic_solver import _solve_sizes
+from .game_model import MarketParams
 
 __all__ = ["CoreReport", "characteristic_values", "check_equal_allocation_core"]
 
@@ -41,10 +41,8 @@ class CoreReport:
 
 def characteristic_values(params: MarketParams, n: int) -> list[float]:
     """Optimal expected profits of coalitions of size m = 1..n."""
-    econ = validate_params(params)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return [_build_result(m, econ, params).profit for m in range(1, n + 1)]
+    _, results = _solve_sizes(params, range(1, n + 1))
+    return [res.profit for res in results]
 
 
 def check_equal_allocation_core(params: MarketParams, n: int,
@@ -56,12 +54,10 @@ def check_equal_allocation_core(params: MarketParams, n: int,
     exactly. The check accepts worst_margin >= -tolerance * scale with
     scale = max(1, max |beta_m|).
     """
-    econ = validate_params(params)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-    beta = [_build_result(m, econ, params).allocation for m in range(1, n + 1)]
+    _, results = _solve_sizes(params, range(1, n + 1))
+    beta = [res.allocation for res in results]
     # Margin over proper sub-coalition sizes; a single agent has nothing to block.
     margins = [beta[-1] - b for b in beta[:-1]]
     if margins:

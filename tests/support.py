@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,25 @@ def random_market_params(rng: np.random.Generator, rho=None,
     if rho is None:
         rho = rng.uniform(*rho_range)
     return MarketParams(r=r, c=c, nu=nu, t=t, mu=mu, sigma=sigma, rho=rho)
+
+
+def edge_markets(rng: np.random.Generator, n_max: int) -> list[MarketParams]:
+    """Random markets plus the edges of the per-size solve up to size n_max.
+
+    The edges are rho = 1 (L_n = 1), rho just above -1/(n_max - 1) (L_n huge),
+    t = 0 (the root is exactly Phi^-1(R)/L_n) and the deep tails R = 1e-10 and
+    R = 1 - 1e-10.
+    """
+    markets = [random_market_params(rng, rho_range=(-0.5 / (n_max - 1), 1.0))
+               for _ in range(3)]
+    base = random_market_params(rng)
+    markets += [replace(base, rho=1.0), replace(base, rho=-1.0 / (n_max - 1) + 1e-9),
+                replace(base, t=0.0)]
+    r, nu = 10.0, 2.0
+    for fractile in (1e-10, 1.0 - 1e-10):
+        markets.append(MarketParams(r=r, c=r - fractile * (r - nu), nu=nu, t=1.0,
+                                    mu=100.0, sigma=20.0, rho=0.2))
+    return markets
 
 
 def random_surplus_shortage(rng: np.random.Generator, n: int, integer=False,

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from support import random_market_params
+from support import edge_markets, random_market_params
+from transship import analytic_solver
 from transship.analytic_solver import (
     Regime,
     UnsupportedRegimeError,
@@ -69,10 +70,12 @@ class TestSolveOptimalQuantity:
             assert res.x_opt == 100.0
 
     def test_frictionless_collapses_to_pooled_fractile(self):
-        params = MarketParams(r=10, c=4, nu=2, t=0, mu=100, sigma=20, rho=0)
-        for n in (1, 4, 9):
-            res = solve_optimal_quantity(n, params)
-            assert res.y_opt == pytest.approx(std_inv_cdf(0.75) / math.sqrt(n), abs=1e-10)
+        # t = 0 reduces the condition to Phi(L_n * Y) = R, so Y is Phi^-1(R)/L_n exactly.
+        for rho in (0.0, 0.5, -0.9 / 199):
+            params = MarketParams(r=10, c=4, nu=2, t=0, mu=100, sigma=20, rho=rho)
+            for n in (1, 2, 4, 9, 200):
+                res = solve_optimal_quantity(n, params)
+                assert res.y_opt == std_inv_cdf(0.75) / pooling_factor(n, rho)
 
     def test_perfect_correlation_size_independent(self):
         params = MarketParams(r=10, c=4, nu=2, t=1, mu=100, sigma=20, rho=1.0)
@@ -433,6 +436,48 @@ class TestQuantitySequence:
         assert len({r.y_opt for r in results}) == 1
         assert not report.y_monotone
         assert report.sign_preserved
+
+    def test_near_mean_game_reported_as_mean(self):
+        # R - 1/2 = -5e-13 is within MEAN_GAME_TOL, yet Y_n is about -1e-12, not 0.
+        params = MarketParams(r=10, c=6 + 4e-12, nu=2, t=2, mu=100, sigma=20, rho=0)
+        results, report = quantity_sequence(params, 3)
+        assert all(-2e-12 < r.y_opt < 0.0 for r in results)
+        assert report.game_type is GameType.MEAN
+        assert report.y_monotone and report.ly_monotone and report.sign_preserved
+
+    def test_every_result_matches_the_single_size_solve(self):
+        rng = np.random.default_rng(44)
+        for params in [OVER_GAME, UNDER_T2, MEAN_GAME] + edge_markets(rng, 12):
+            results, _ = quantity_sequence(params, 12)
+            assert results == [solve_optimal_quantity(m, params) for m in range(1, 13)]
+
+    def test_bad_size(self):
+        with pytest.raises(ValueError, match=">= 1, got 0"):
+            quantity_sequence(MEAN_GAME, 0)
+
+
+class TestSizeCap:
+    def test_count_above_cap_rejected_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved a size")
+
+        monkeypatch.setattr(analytic_solver, "_build_result", no_solve)
+        for n_max in (analytic_solver._MAX_SIZES + 1, 10**12, 10**30):
+            with pytest.raises(ParameterError, match="coalition sizes requested") as info:
+                quantity_sequence(MEAN_GAME, n_max)
+            assert str(info.value) == (f"{n_max} coalition sizes requested; at most "
+                                       f"{analytic_solver._MAX_SIZES} per call")
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(analytic_solver, "_MAX_SIZES", 5)
+        assert len(quantity_sequence(OVER_GAME, 5)[0]) == 5
+        with pytest.raises(ParameterError, match="6 coalition sizes"):
+            quantity_sequence(OVER_GAME, 6)
+
+    def test_cap_counts_sizes_not_n(self):
+        for n in (10**12, 10**15):
+            res = solve_optimal_quantity(n, OVER_GAME)
+            assert res.n == n and res.residual <= 1e-12
 
 
 class TestFractileRoundedToBound:

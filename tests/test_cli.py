@@ -2,11 +2,14 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+from support import edge_markets
+from transship.analytic_solver import limit_analysis, solve_optimal_quantity
 from transship.cli import DEFAULT_SEED, SWEEP_HEADER, main
 from transship.core_analysis import check_equal_allocation_core
-from transship.game_model import MarketParams
+from transship.game_model import PARAM_KEYS, MarketParams
 
 MEAN_ARGS = ["--r", "10", "--c", "6", "--nu", "2", "--t", "2",
              "--mu", "100", "--sigma", "20", "--rho", "0"]
@@ -48,6 +51,11 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: critical fractile R = g/(g + g_tilde) = 1.0")
+
+    def test_huge_coalition(self):
+        code, text = run_cli(["solve", *MEAN_ARGS, "--n", "1000000000000", "--format", "json"])
+        assert code == 0
+        assert json.loads(text)["n"] == 10**12
 
     def test_csv_round_trip(self):
         code, text = run_cli(["solve", *MEAN_ARGS, "--n", "3", "--format", "csv"])
@@ -104,6 +112,43 @@ class TestSweep:
                            *MEAN_ARGS, "--format", "csv"])
         assert code != 0
         assert "integer bounds" in capsys.readouterr().err
+
+    def test_over_n_rows_match_single_size_solves(self):
+        rng = np.random.default_rng(37)
+        for params in [MarketParams(10, 6, 2, 2, 100, 20, 0)] + edge_markets(rng, 12):
+            args = [arg for key in PARAM_KEYS for arg in (f"--{key}", repr(getattr(params, key)))]
+            y_inf = limit_analysis(params).y_inf if params.rho == 0.0 else None
+            expected = []
+            for n in range(1, 13):
+                res = solve_optimal_quantity(n, params)
+                expected.append([float(n), res.y_opt, res.no_shortage_prob, res.profit,
+                                 res.allocation, res.transshipment, y_inf])
+            code, text = run_cli(["sweep", "--over", "n", "--from", "1", "--to", "12",
+                                  *args, "--format", "csv"])
+            assert code == 0
+            rows = list(csv.reader(io.StringIO(text)))[1:]
+            assert rows == [["" if v is None else repr(v) for v in row] for row in expected]
+            code, text = run_cli(["sweep", "--over", "n", "--from", "1", "--to", "12",
+                                  *args, "--format", "json"])
+            assert code == 0
+            records = [json.loads(line) for line in text.splitlines()]
+            assert [[rec[key] for key in SWEEP_HEADER] for rec in records] == expected
+
+    def test_over_n_size_cap(self, capsys):
+        code, text = run_cli(["sweep", "--over", "n", "--from", "1", "--to", "1e12",
+                              *MEAN_ARGS, "--format", "csv"])
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == "error: 1000000000000 coalition sizes requested; at most 100000 per call\n"
+
+    def test_over_n_at_huge_sizes(self):
+        code, text = run_cli(["sweep", "--over", "n", "--from", "1000000000000",
+                              "--to", "1000000000002", *MEAN_ARGS, "--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert [row[0] for row in rows] == ["1000000000000.0", "1000000000001.0",
+                                            "1000000000002.0"]
 
     def test_correlated_demands_blank_limit_column(self):
         args = [a if a != "0" else "0.4" for a in MEAN_ARGS]

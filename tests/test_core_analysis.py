@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from support import random_market_params
+from support import edge_markets, random_market_params
+from transship import analytic_solver
 from transship.analytic_solver import solve_optimal_quantity
 from transship.core_analysis import characteristic_values, check_equal_allocation_core
 from transship.game_model import MarketParams, ParameterError, validate_params
@@ -35,9 +36,11 @@ class TestCharacteristicValues:
             assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_matches_solver(self):
-        values = characteristic_values(MEAN_GAME, 6)
-        for m, value in enumerate(values, start=1):
-            assert value == solve_optimal_quantity(m, MEAN_GAME).profit
+        rng = np.random.default_rng(33)
+        for params in [MEAN_GAME] + edge_markets(rng, 12):
+            values = characteristic_values(params, 12)
+            for m, value in enumerate(values, start=1):
+                assert value == solve_optimal_quantity(m, params).profit
 
 
 class TestCoreCheck:
@@ -69,9 +72,11 @@ class TestCoreCheck:
         assert report.beta[-1] == pytest.approx(368.90351365182175, rel=1e-12)
 
     def test_beta_matches_equal_allocation(self):
-        report = check_equal_allocation_core(MEAN_GAME, 5)
-        for m, beta in enumerate(report.beta, start=1):
-            assert beta == solve_optimal_quantity(m, MEAN_GAME).allocation
+        rng = np.random.default_rng(36)
+        for params in [MEAN_GAME] + edge_markets(rng, 12):
+            report = check_equal_allocation_core(params, 12)
+            for m, beta in enumerate(report.beta, start=1):
+                assert beta == solve_optimal_quantity(m, params).allocation
 
     def test_beta_times_n_is_characteristic_value(self):
         rng = np.random.default_rng(34)
@@ -101,6 +106,18 @@ class TestCoreCheck:
             check_equal_allocation_core(MEAN_GAME, 0)
         with pytest.raises(ValueError, match="non-negative"):
             check_equal_allocation_core(MEAN_GAME, 3, tolerance=-1.0)
+
+    def test_size_cap(self, monkeypatch):
+        too_many = analytic_solver._MAX_SIZES + 1
+        for call in (characteristic_values, check_equal_allocation_core):
+            with pytest.raises(ParameterError, match=f"^{too_many} coalition sizes requested"):
+                call(MEAN_GAME, too_many)
+        monkeypatch.setattr(analytic_solver, "_MAX_SIZES", 4)
+        assert len(characteristic_values(MEAN_GAME, 4)) == 4
+        assert check_equal_allocation_core(MEAN_GAME, 4).in_core
+        for call in (characteristic_values, check_equal_allocation_core):
+            with pytest.raises(ParameterError, match="^5 coalition sizes requested"):
+                call(MEAN_GAME, 5)
 
     def test_json_round_trip(self):
         report = check_equal_allocation_core(MEAN_GAME, 4)
