@@ -45,9 +45,11 @@ __all__ = [
     "quantity_sequence",
 ]
 
-_MAX_BISECT = 200
-_WIDTH_TOL = 1e-13
-# Most coalition sizes one call solves: about 5 s of CPU (see README).
+# Steps per root before _solve_y raises; random (R, gamma, L) with R down to
+# 1e-300 and L up to 1e150 took at most 51.
+_MAX_NEWTON = 100
+_STEP_TOL = 4 * 2.0**-52  # a step of 4 ulp relative to |y| ends the iteration
+# Most coalition sizes one call solves: about 1.6 s of CPU (see README).
 _MAX_SIZES = 100_000
 
 
@@ -128,35 +130,46 @@ def optimality_residual(y: float, n: int, econ: DerivedEconomics, rho: float) ->
 def _solve_y(econ: DerivedEconomics, q: float, L: float) -> float:
     """Root of the optimality condition for q = Phi^-1(R) and a pooling factor L >= 1.
 
-    The condition is gamma_tilde*(Phi(L*q) - R) at q and gamma*(Phi(q/L) - R)
+    The condition f is gamma_tilde*(Phi(L*q) - R) at q and gamma*(Phi(q/L) - R)
     at q/L, never of the same sign, so the root lies between them. It is q/L
     itself when t = 0 (gamma = 0), and the single point q when L = 1 or R = 1/2.
+
+    Otherwise Newton's method runs from q/L. The bracket holds no 0, so f is
+    concave on it when R > 1/2 and convex when R < 1/2, and f(q/L) has the sign
+    of -q (Fourier's condition): every iterate lands between the last one and
+    the root. Deep in a tail that progress can turn linear, with steps of about
+    1/|y|. So an iterate that leaves the bracket, or a step longer than half the
+    one before last, is replaced by the bracket's geometric midpoint (both ends
+    share the sign of q, and the bracket can span decades). The iteration stops
+    on a step within _STEP_TOL of |y|.
     """
     R, gam, gamt = econ.R, econ.gamma, econ.gamma_tilde
     pooled = q / L
     if pooled == q or gam == 0.0:
         return pooled
     lo, hi = sorted((pooled, q))
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        fm = _condition(mid, L, gam, gamt, R)
-        if fm == 0.0:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _WIDTH_TOL:
-            break
-    y = 0.5 * (lo + hi)
-    # One Newton polish with the analytic derivative; keep it only if it helps.
-    deriv = gam * std_pdf(y) + gamt * L * std_pdf(L * y)
-    if deriv > 0.0 and math.isfinite(deriv):
+    y, moved, moved_before = pooled, math.inf, math.inf
+    for _ in range(_MAX_NEWTON):
         fy = _condition(y, L, gam, gamt, R)
-        candidate = y - fy / deriv
-        if math.isfinite(candidate) and abs(_condition(candidate, L, gam, gamt, R)) <= abs(fy):
-            y = candidate
-    return y
+        if fy == 0.0:
+            return y
+        if fy < 0.0:
+            lo = y
+        else:
+            hi = y
+        deriv = gam * std_pdf(y) + gamt * L * std_pdf(L * y)
+        step = fy / deriv if deriv > 0.0 else math.inf
+        nxt = y - step
+        if abs(step) <= _STEP_TOL * abs(y):
+            return nxt if lo <= nxt <= hi else y
+        if not lo < nxt < hi or 2.0 * abs(step) > moved_before:
+            nxt = math.copysign(math.sqrt(abs(lo)) * math.sqrt(abs(hi)), q)
+            if not lo < nxt < hi:  # lo and hi are adjacent doubles
+                return y
+        moved, moved_before = abs(nxt - y), moved
+        y = nxt
+    raise RuntimeError(f"Y_n root for R = {R!r}, L = {L!r} not converged after "
+                       f"{_MAX_NEWTON} Newton steps")
 
 
 def _per_agent_profit(y: float, L: float, econ: DerivedEconomics,
@@ -168,6 +181,10 @@ def _per_agent_profit(y: float, L: float, econ: DerivedEconomics,
 
 
 def _transshipment(y: float, n: int, L: float, sigma: float) -> float:
+    # A(y) = y + A(-y) turns A(y) - A(L y)/L into A(-y) - A(-L y)/L, so the
+    # amount is even in y. Above 0 both terms are about y and cancel; below 0
+    # both are small, so evaluate there.
+    y = -abs(y)
     value = n * sigma * (cdf_antiderivative(y) - cdf_antiderivative(L * y) / L)
     # Tail cancellation can round a mathematically non-negative value below 0.
     return value if value > 0.0 else 0.0
@@ -239,8 +256,9 @@ def equal_allocation(n: int, params: MarketParams) -> float:
 def expected_transshipment(y: float, n: int, params: MarketParams) -> float:
     """Expected transshipment amount at standardized quantity y.
 
-    n*sigma*([y*Phi(y) + phi(y)] - [y*Phi(L_n y) + phi(L_n y)/L_n]) >= 0;
-    zero whenever pooling has nothing to move (n = 1 or rho = 1).
+    n*sigma*([y*Phi(y) + phi(y)] - [y*Phi(L_n y) + phi(L_n y)/L_n]) >= 0, an even
+    function of y, evaluated at -|y| to keep full relative accuracy in both
+    tails; zero whenever pooling has nothing to move (n = 1 or rho = 1).
     """
     validate_params(params)
     if not math.isfinite(y):

@@ -103,6 +103,10 @@ def _cmd_sweep(args, out) -> int:
     if args.over == "t":
         if args.steps < 2:
             raise ParameterError(f"--steps must be >= 2, got {args.steps}")
+        if args.steps > analytic_solver._MAX_SIZES:
+            # Every step is a solve and a row, built before anything prints.
+            raise ParameterError(f"--steps {args.steps} requested; at most "
+                                 f"{analytic_solver._MAX_SIZES} per call")
         span = args.sweep_to - args.sweep_from
         markets = [replace(params, t=args.sweep_from + span * k / (args.steps - 1))
                    for k in range(args.steps)]

@@ -316,6 +316,42 @@ class TestExpectedTransshipment:
                 if y != 0.0:
                     assert math.copysign(1.0, surplus - shortage) == math.copysign(1.0, y)
 
+    @staticmethod
+    def mp_transshipment(y, n, L, sigma):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(80):  # A(y) - A(L*y)/L cancels about y**2/2 digits above 0
+
+            def antiderivative(z):
+                return z * mp.ncdf(z) + mp.npdf(z)
+
+            y, L = mp.mpf(y), mp.mpf(L)
+            return n * sigma * (antiderivative(y) - antiderivative(L * y) / L)
+
+    @pytest.mark.parametrize("y", [3.0, 5.0, 6.0, 7.0, 8.0])
+    def test_both_tails_match_mpmath(self, y):
+        # Above 0, A(y) and A(L*y)/L agree to 8 digits at y = 5 and to all 16 at y = 8.
+        L = pooling_factor(20, 0.0)
+        for value in (y, -y):
+            exact = self.mp_transshipment(value, 20, L, MEAN_GAME.sigma)
+            got = expected_transshipment(value, 20, MEAN_GAME)
+            assert abs(got - exact) <= 1e-12 * exact
+
+    def test_even_in_y(self):
+        for y in (0.3, 2.0, 6.5):
+            for n in (2, 20):
+                assert expected_transshipment(y, n, OVER_GAME) == expected_transshipment(
+                    -y, n, OVER_GAME)
+
+    def test_deep_over_mean_optimum_matches_mpmath(self):
+        # R = 1 - 1e-10 puts Y_n near 6, where A(Y) and A(L*Y)/L agree to 6 digits.
+        params = MarketParams(r=10, c=10 - (1 - 1e-10) * 8, nu=2, t=1, mu=100, sigma=20,
+                              rho=0.2)
+        for n in (2, 20):
+            res = solve_optimal_quantity(n, params)
+            assert res.y_opt > 6.0
+            exact = self.mp_transshipment(res.y_opt, n, pooling_factor(n, 0.2), 20.0)
+            assert abs(res.transshipment - exact) <= 1e-12 * exact
+
     def test_growth_with_coalition_size(self):
         for params in (OVER_GAME, UNDER_T2):
             results, _ = quantity_sequence(params, 200)
@@ -478,6 +514,114 @@ class TestSizeCap:
         for n in (10**12, 10**15):
             res = solve_optimal_quantity(n, OVER_GAME)
             assert res.n == n and res.residual <= 1e-12
+
+
+def mp_condition_root(econ, L):
+    """50-digit root of gamma*Phi(y) + gamma_tilde*Phi(L*y) = R for the same doubles."""
+    mp = pytest.importorskip("mpmath")
+    q = std_inv_cdf(econ.R)  # a few ulp from Phi^-1(R): widen [q/L, q] by 1e-9 on each side
+    with mp.workdps(50):
+        R, gam, gamt, L = (mp.mpf(v) for v in (econ.R, econ.gamma, econ.gamma_tilde, L))
+
+        def f(y):
+            return gam * mp.ncdf(y) + gamt * mp.ncdf(L * y) - R
+
+        lo, hi = sorted((q / L * (1 - mp.mpf(1e-9)), q * (1 + mp.mpf(1e-9))))
+        assert f(lo) < 0 < f(hi)
+        while True:
+            # Geometric midpoints while the bracket spans more than a factor of 2.
+            a, b = sorted((abs(lo), abs(hi)))
+            if b - a <= a * mp.mpf(10) ** -45:
+                return (lo + hi) / 2
+            mid = mp.sign(q) * mp.sqrt(a * b) if b > 2 * a else (lo + hi) / 2
+            if f(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+
+
+class TestNewtonRoot:
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [10**12, 10**15, 10**100, 10**300],
+                             ids=["1e12", "1e15", "1e100", "1e300"])
+    def test_large_coalitions_within_8_ulp(self, n, rho):
+        # R = 5/8 and gamma = 1/8 are exact. L_n reaches 1e150 at rho = 0, where an
+        # absolute stopping width would lose the root.
+        params = MarketParams(10, 5, 2, 1, 100, 20, rho)
+        root = mp_condition_root(validate_params(params), pooling_factor(n, rho))
+        y = solve_optimal_quantity(n, params).y_opt
+        assert abs(y - root) <= 8 * math.ulp(float(root))
+
+    @pytest.mark.parametrize("R", [1e-20, 1e-143, 1e-300])
+    def test_deep_lower_tail_within_8_ulp(self, R):
+        # Far below 0, Newton's steps shrink to about 1/|y| and progress turns
+        # linear; the safeguard must bisect instead of running out of steps.
+        params = MarketParams(r=2 * R, c=R, nu=-1.0, t=0.5, mu=100, sigma=20, rho=0)
+        econ = validate_params(params)
+        for n in (3, 1000, 10**12):
+            root = mp_condition_root(econ, pooling_factor(n, 0.0))
+            y = solve_optimal_quantity(n, params).y_opt
+            assert abs(y - root) <= 8 * math.ulp(float(root))
+
+    def test_tiny_gamma_with_huge_pooling_factor(self):
+        # gamma = 3e-261 and L = 1.7e76: a Newton step here can overflow to inf,
+        # which must fall back to the bracket, not reach std_cdf.
+        params = MarketParams(r=10, c=10 - 3.32e-6 * 8, nu=2, t=2.6e-260, mu=100, sigma=20,
+                              rho=0)
+        n = 3 * 10**152
+        root = mp_condition_root(validate_params(params), pooling_factor(n, 0.0))
+        y = solve_optimal_quantity(n, params).y_opt
+        assert abs(y - root) <= 8 * math.ulp(float(root))
+
+    def test_cdf_call_budget(self, monkeypatch):
+        # Deterministic count; each solve also spends 3 calls on its residual and Phi(Y_n).
+        calls = 0
+
+        def counting_cdf(y):
+            nonlocal calls
+            calls += 1
+            return std_cdf(y)
+
+        monkeypatch.setattr(analytic_solver, "std_cdf", counting_cdf)
+        rng = np.random.default_rng(61)
+        markets = edge_markets(rng, 100) + [random_market_params(rng) for _ in range(20)]
+        sizes = (2, 5, 20, 100)
+        for params in markets:
+            for n in sizes:
+                solve_optimal_quantity(n, params)
+        assert calls / (len(markets) * len(sizes)) <= 25
+
+    def test_root_stays_in_bracket(self):
+        rng = np.random.default_rng(62)
+        for params in edge_markets(rng, 100):
+            econ = validate_params(params)
+            q = std_inv_cdf(econ.R)
+            for n in (2, 5, 20, 100, 10**6, 10**12):
+                if n > 100 and params.rho < 0.0:
+                    continue
+                L = pooling_factor(n, params.rho)
+                y = solve_optimal_quantity(n, params).y_opt
+                assert min(q / L, q) <= y <= max(q / L, q)
+
+    @pytest.mark.parametrize("n", [4, 10**100], ids=["4", "1e100"])
+    def test_geometric_fallback_alone_finds_the_root(self, monkeypatch, n):
+        # A zero derivative sends every step outside the bracket, so only the
+        # guard's geometric midpoints move; they must still close on the root.
+        params = MarketParams(10, 5, 2, 1, 100, 20, 0)
+        root = mp_condition_root(validate_params(params), pooling_factor(n, 0.0))
+        monkeypatch.setattr(analytic_solver, "std_pdf", lambda y: 0.0)
+        y = solve_optimal_quantity(n, params).y_opt
+        assert abs(y - root) <= 8 * math.ulp(float(root))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic_solver, "_MAX_NEWTON", 1)
+        with pytest.raises(RuntimeError, match="not converged after 1 Newton step") as info:
+            solve_optimal_quantity(4, OVER_GAME)
+        assert "\n" not in str(info.value)
+        # Roots known in closed form take no step.
+        for n, params in ((1, OVER_GAME), (4, MarketParams(10, 4, 2, 0, 100, 20, 0))):
+            assert solve_optimal_quantity(n, params).y_opt == (
+                std_inv_cdf(validate_params(params).R) / pooling_factor(n, params.rho))
 
 
 class TestFractileRoundedToBound:

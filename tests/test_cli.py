@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from support import edge_markets
+from transship import analytic_solver
 from transship.analytic_solver import limit_analysis, solve_optimal_quantity
 from transship.cli import DEFAULT_SEED, SWEEP_HEADER, main
 from transship.core_analysis import check_equal_allocation_core
@@ -106,6 +107,25 @@ class TestSweep:
         assert [float(r[0]) for r in rows[1:]] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         betas = [float(r[4]) for r in rows[1:]]
         assert all(a < b for a, b in zip(betas, betas[1:]))
+
+    def test_steps_above_cap_exit_with_one_line(self, capsys):
+        cap = analytic_solver._MAX_SIZES
+        code, text = run_cli(["sweep", "--over", "t", "--from", "0", "--to", "7.9",
+                              "--steps", str(cap + 1), *UNDER_ARGS, "--n", "4"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == (f"error: --steps {cap + 1} requested; "
+                                           f"at most {cap} per call\n")
+
+    def test_steps_cap_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(analytic_solver, "_MAX_SIZES", 5)
+        argv = ["sweep", "--over", "t", "--from", "0", "--to", "7.9", *UNDER_ARGS,
+                "--n", "4", "--format", "csv", "--steps"]
+        code, text = run_cli([*argv, "5"])
+        assert code == 0 and len(text.splitlines()) == 6
+        code, text = run_cli([*argv, "6"])
+        assert code == 1 and text == ""
+        assert "--steps 6 requested; at most 5 per call" in capsys.readouterr().err
 
     def test_over_n_requires_integer_bounds(self, capsys):
         code, _ = run_cli(["sweep", "--over", "n", "--from", "1.5", "--to", "4",
