@@ -13,11 +13,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from . import analytic_solver, core_analysis, simulation
+from . import analytic_solver, core_analysis
 from .game_model import PARAM_KEYS, MarketParams, ParameterError, load_params, params_from_mapping
 from .recourse import SurplusShortage, solve_transshipment_plan
 
@@ -100,6 +101,9 @@ def _cmd_sweep(args, out) -> int:
     # When sweeping over t, each row supplies its own t.
     defaults = {"t": 0.0} if args.over == "t" else None
     params = _resolve_params(args, defaults)
+    for flag, bound in (("--from", args.sweep_from), ("--to", args.sweep_to)):
+        if not math.isfinite(bound):
+            raise ParameterError(f"{flag} must be finite, got {bound!r}")
     if args.over == "t":
         if args.steps < 2:
             raise ParameterError(f"--steps must be >= 2, got {args.steps}")
@@ -155,6 +159,8 @@ def _cmd_limits(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
+    from . import simulation  # the one subcommand that needs numpy
+
     params = _resolve_params(args)
     res = analytic_solver.solve_optimal_quantity(args.n, params)
     x = res.x_opt if args.x is None else args.x

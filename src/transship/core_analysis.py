@@ -54,7 +54,7 @@ def check_equal_allocation_core(params: MarketParams, n: int,
     exactly. The check accepts worst_margin >= -tolerance * scale with
     scale = max(1, max |beta_m|).
     """
-    if tolerance < 0:
+    if not tolerance >= 0:  # also rejects nan, which would fail every margin
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     _, results = _solve_sizes(params, range(1, n + 1))
     beta = [res.allocation for res in results]

@@ -201,6 +201,30 @@ def _cdf_antiderivative_array(ys: np.ndarray) -> np.ndarray:
     return value
 
 
+def _grid_blocks(half_width: float, points: int):
+    """np.linspace(-half_width, half_width, points) in blocks of _GRID_BLOCK points.
+
+    Bit-identical to numpy's own recipe: point k is k * step - half_width with
+    step = 2 * half_width / (points - 1), or (k / (points - 1)) * (2 * half_width)
+    when the step underflows to 0 (subnormal widths), and the last point is
+    +half_width exactly. Only one block is held at a time.
+    """
+    div = points - 1
+    delta = 2.0 * half_width
+    step = delta / div
+    for lo in range(0, points, _GRID_BLOCK):
+        ys = np.arange(lo, min(lo + _GRID_BLOCK, points), dtype=float)
+        if step == 0.0:
+            ys /= div
+            ys *= delta
+        else:
+            ys *= step
+        ys -= half_width
+        if lo + ys.shape[0] == points:
+            ys[-1] = half_width
+        yield ys
+
+
 def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
                         grid_points: int) -> tuple[float, float]:
     """Maximize the closed-form profit on a grid around the demand mean.
@@ -211,8 +235,9 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
     method-independent of the root-finder, so agreement within one grid
     spacing validates both the first-order condition and its solver.
 
-    The grid is evaluated in blocks of _GRID_BLOCK points by the array form of
-    J_n, whose results are bit-identical to evaluating each point on its own.
+    The grid is generated and evaluated in blocks of _GRID_BLOCK points by the
+    array form of J_n, whose results are bit-identical to evaluating each
+    point of np.linspace on its own; memory does not grow with grid_points.
     A nan or +inf profit on the grid, from overflow at huge widths, raises
     ValueError.
     """
@@ -224,10 +249,8 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
         raise ValueError(f"grid_half_width must be finite and positive, got {grid_half_width!r}")
     L = pooling_factor(n, params.rho)
     mu, sigma, t = params.mu, params.sigma, params.t
-    ys = np.linspace(-grid_half_width, grid_half_width, grid_points)
     best_y = best_profit = -math.inf
-    for lo in range(0, grid_points, _GRID_BLOCK):
-        block = ys[lo:lo + _GRID_BLOCK]
+    for block in _grid_blocks(grid_half_width, grid_points):
         # Overflow gives inf or nan silently, as in floats; np.argmax returns
         # the first nan, or else +inf, and either is rejected below.
         with np.errstate(over="ignore", invalid="ignore"):

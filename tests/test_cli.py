@@ -133,6 +133,17 @@ class TestSweep:
         assert code != 0
         assert "integer bounds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over", ["n", "t"])
+    @pytest.mark.parametrize("flag,value", [("--from", "nan"), ("--from", "-inf"),
+                                            ("--to", "inf"), ("--to", "nan")])
+    def test_non_finite_bound_exits_with_one_line(self, capsys, over, flag, value):
+        bounds = {"--from": "1", "--to": "5", flag: value}
+        code, text = run_cli(["sweep", "--over", over, *MEAN_ARGS,
+                              *(f"{name}={bound}" for name, bound in bounds.items())])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)!r}\n"
+
     def test_over_n_rows_match_single_size_solves(self):
         rng = np.random.default_rng(37)
         for params in [MarketParams(10, 6, 2, 2, 100, 20, 0)] + edge_markets(rng, 12):
@@ -258,6 +269,13 @@ class TestCoreCheck:
                         "worst_margin  0.8188960839363517\n"
                         "witness_m     9\n"
                         "beta_n        368.90351365182175\n")
+
+
+    def test_nan_tolerance_exits_with_one_line(self, capsys):
+        code, text = run_cli(["core-check", *MEAN_ARGS, "--n", "5", "--tolerance", "nan"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == "error: tolerance must be non-negative, got nan\n"
 
 
 class TestRecourse:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,10 @@ class TestCoreCheck:
             check_equal_allocation_core(MEAN_GAME, 0)
         with pytest.raises(ValueError, match="non-negative"):
             check_equal_allocation_core(MEAN_GAME, 3, tolerance=-1.0)
+        # nan fails every comparison, so it would report in_core = False at a
+        # positive worst margin
+        with pytest.raises(ValueError, match="non-negative, got nan"):
+            check_equal_allocation_core(MEAN_GAME, 5, tolerance=math.nan)
 
     def test_size_cap(self, monkeypatch):
         too_many = analytic_solver._MAX_SIZES + 1

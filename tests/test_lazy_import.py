@@ -1,0 +1,149 @@
+"""numpy loads only with `transship.simulation`, on first use of an array feature.
+
+The test modules import numpy themselves, so what a user's process loads is
+checked in a fresh interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import transship
+from transship import simulation
+
+SRC = Path(transship.__file__).resolve().parents[1]
+SIMULATION_NAMES = ("DemandMatrix", "McEstimate", "sample_demands", "estimate_profit",
+                    "estimate_transshipment", "brute_force_optimal", "dump_scenarios")
+MARKET = ["--r", "10", "--c", "6", "--nu", "2", "--t", "2",
+          "--mu", "100", "--sigma", "20", "--rho", "0"]
+
+# `simulate` output recorded while `simulation` was still imported eagerly.
+SIMULATE_ARGS = ["simulate", "--r", "10", "--c", "6", "--nu", "2", "--t", "2", "--mu", "100",
+                 "--sigma", "20", "--rho", "0.3", "--n", "3", "--count", "5", "--seed", "7"]
+SIMULATE_TEXT = {
+    "table": (
+        "x = 100.0  n = 3  count = 5  seed = 7 (numpy-philox4x64)\n"
+        "profit         closed 1047.2422770149883  mc 1150.044475029457 +- 25.413974544548328"
+        "  [FAIL at 4 std errors]\n"
+        "transshipment  closed 6.455761934612695  mc 10.526230060740161 +- 3.361383793113896"
+        "  [PASS at 4 std errors]\n"),
+    "csv": (
+        "quantity,closed_form,mc_mean,mc_std_error,count,within_4_std_errors\r\n"
+        "profit,1047.2422770149883,1150.044475029457,25.413974544548328,5,False\r\n"
+        "transshipment,6.455761934612695,10.526230060740161,3.361383793113896,5,True\r\n"),
+    "json": (
+        '{"quantity": "profit", "closed_form": 1047.2422770149883, "mc_mean": 1150.044475029457,'
+        ' "mc_std_error": 25.413974544548328, "count": 5, "within_4_std_errors": false}\n'
+        '{"quantity": "transshipment", "closed_form": 6.455761934612695,'
+        ' "mc_mean": 10.526230060740161, "mc_std_error": 3.361383793113896, "count": 5,'
+        ' "within_4_std_errors": true}\n'),
+}
+SIMULATE_DUMP = (
+    b"scenario_id,D_1,D_2,D_3\r\n"
+    b"0,69.1207329937095,108.01268272308417,108.67764763752494\r\n"
+    b"1,107.0431558163614,129.7123122764167,81.48941502810274\r\n"
+    b"2,89.26280421033889,103.03644836863654,103.82526853604182\r\n"
+    b"3,89.43148193348392,113.80806661378456,111.80091738785501\r\n"
+    b"4,136.77842431394214,104.36868507484718,108.8851777631741\r\n")
+
+FRESH_INTERPRETER = """
+import io, json, sys
+steps, codes = {}, {}
+import transship
+steps["import transship"] = "numpy" in sys.modules
+import transship.cli
+steps["import transship.cli"] = "numpy" in sys.modules
+for name, argv in json.loads(sys.argv[1]):
+    codes[name] = transship.cli.main(argv, out=io.StringIO())
+    steps[name] = "numpy" in sys.modules
+lazy = json.loads(sys.argv[2])
+listed = {name: name in dir(transship) for name in [*lazy, "simulation"]}
+steps["dir(transship)"] = "numpy" in sys.modules
+star = {}
+exec("from transship import *", star)
+steps["from transship import *"] = "numpy" in sys.modules
+from transship import DemandMatrix
+exposed = {name: [getattr(transship, name) is getattr(transship.simulation, name),
+                  star[name] is getattr(transship.simulation, name)] for name in lazy}
+exposed["DemandMatrix"].append(DemandMatrix is transship.simulation.DemandMatrix)
+simulate = {}
+for fmt in ("table", "csv", "json"):
+    out = io.StringIO()
+    transship.cli.main([*json.loads(sys.argv[3]), "--format", fmt], out=out)
+    simulate[fmt] = out.getvalue()
+print(json.dumps({"steps": steps, "codes": codes, "listed": listed, "exposed": exposed,
+                  "simulate": simulate}))
+"""
+
+
+def run_fresh(code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.fixture(scope="module")
+def fresh_interpreter(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("lazy")
+    (tmp / "ss.csv").write_text("agent,H,E\n1,1,0\n2,0,1\n")
+    (tmp / "p.csv").write_text("0,5\n0,0\n")
+    commands = [
+        ("solve", ["solve", *MARKET, "--n", "4"]),
+        ("sweep --over n", ["sweep", "--over", "n", "--from", "1", "--to", "5", *MARKET]),
+        ("limits", ["limits", *MARKET]),
+        ("core-check", ["core-check", *MARKET, "--n", "5"]),
+        ("recourse", ["recourse", "--surplus-file", str(tmp / "ss.csv"),
+                      "--profit-file", str(tmp / "p.csv")]),
+    ]
+    out = run_fresh(FRESH_INTERPRETER, json.dumps(commands), json.dumps(SIMULATION_NAMES),
+                    json.dumps(SIMULATE_ARGS))
+    return json.loads(out)
+
+
+def test_scalar_commands_leave_numpy_unloaded(fresh_interpreter):
+    commands = ["solve", "sweep --over n", "limits", "core-check", "recourse"]
+    assert fresh_interpreter["codes"] == {name: 0 for name in commands}
+    assert fresh_interpreter["steps"] == {
+        "import transship": False, "import transship.cli": False,
+        **{name: False for name in commands},
+        "dir(transship)": False, "from transship import *": True}
+
+
+def test_simulation_names_resolve_on_first_use(fresh_interpreter):
+    listed = [*SIMULATION_NAMES, "simulation"]
+    assert fresh_interpreter["listed"] == {name: True for name in listed}
+    expected = {name: [True, True] for name in SIMULATION_NAMES}
+    expected["DemandMatrix"].append(True)
+    assert fresh_interpreter["exposed"] == expected
+
+
+def test_simulate_output_unchanged(fresh_interpreter):
+    assert fresh_interpreter["simulate"] == SIMULATE_TEXT
+
+
+def test_simulate_dump_unchanged(tmp_path):
+    path = tmp_path / "draws.csv"
+    run_fresh("import sys, transship.cli; sys.exit(transship.cli.main(sys.argv[1:]))",
+              *SIMULATE_ARGS, "--dump-scenarios", str(path))
+    assert path.read_bytes() == SIMULATE_DUMP
+
+
+def test_all_lists_every_public_name():
+    namespace = {}
+    exec("from transship import *", namespace)
+    assert set(transship.__all__) <= set(namespace)
+    assert set(SIMULATION_NAMES) <= set(transship.__all__)
+    assert transship.simulation is simulation
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        transship.no_such_name
+    assert not hasattr(transship, "no_such_name")

@@ -452,16 +452,32 @@ class TestProfitKernel:
         monkeypatch.setattr(simulation, "_GRID_BLOCK", block)
         assert brute_force_optimal(params, 5, 6.0, 4001) == expected
 
+    @pytest.mark.parametrize("block", [1, 2, 2048])
+    def test_grid_blocks_match_linspace(self, monkeypatch, block):
+        monkeypatch.setattr(simulation, "_GRID_BLOCK", block)
+        # 5e-324 and 1e-320 are subnormal; at 5e-324 with 5 or more points the
+        # step underflows to 0 and numpy scales by the width last
+        for width in (6.0, 40.0, 1.0 / 3.0, 1e-3, 1e307, 5e-324, 1e-320):
+            for points in (3, 5, 2047, 2049, 4097):
+                if block < 3 and points > 5:
+                    continue
+                blocks = list(simulation._grid_blocks(width, points))
+                assert all(len(ys) <= block for ys in blocks)
+                grid = np.concatenate(blocks)
+                expected = np.linspace(-width, width, points)
+                assert grid.tolist() == expected.tolist()
+                assert grid.tobytes() == expected.tobytes()
+
     def test_scratch_memory_bounded_by_block(self):
-        # The grid itself is 8 bytes a point; the kernel's scratch must not
-        # grow with the number of points.
+        # Neither the grid nor the kernel's scratch may grow with the number
+        # of points.
         params = MarketParams(r=10, c=7, nu=2, t=3, mu=100, sigma=20, rho=0.1)
         peaks = []
         for points in (4097, 32769):
             tracemalloc.start()
             try:
                 brute_force_optimal(params, 5, 6.0, points)
-                peaks.append(tracemalloc.get_traced_memory()[1] - 8 * points)
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
