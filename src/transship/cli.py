@@ -112,6 +112,8 @@ def _cmd_sweep(args, out) -> int:
             raise ParameterError(f"--steps {args.steps} requested; at most "
                                  f"{analytic_solver._MAX_SIZES} per call")
         span = args.sweep_to - args.sweep_from
+        if not math.isfinite(span):
+            raise ParameterError(f"--to - --from must be finite, got {span!r}")
         markets = [replace(params, t=args.sweep_from + span * k / (args.steps - 1))
                    for k in range(args.steps)]
         jobs = [(at_t.t, analytic_solver.solve_optimal_quantity(args.n, at_t),

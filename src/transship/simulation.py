@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -39,12 +39,22 @@ RNG_ALGORITHM = "numpy-philox4x64"
 
 @dataclass(frozen=True, eq=False)
 class DemandMatrix:
-    """Sampled joint demand scenarios: one row per draw, one column per agent."""
+    """Sampled joint demand scenarios: one row per draw, one column per agent.
+
+    `sample_demands` returns `scenarios` read-only. The estimators keep the
+    per-scenario totals of their last x on such a matrix, so estimating the
+    profit and the transshipment at one x reduces the scenarios once. A matrix
+    built around a writable array is reduced afresh on every call. Setting
+    `scenarios.flags.writeable` back to True to edit a sampled matrix would
+    leave those held totals stale; copy the array instead.
+    """
 
     scenarios: np.ndarray
     seed: int
     rho_target: float
     rng_algorithm: str = RNG_ALGORITHM
+    # (x.hex(), S_H, S_E) of the last x estimated on a read-only matrix.
+    _last_totals: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -83,9 +93,11 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
     valid range. It costs O(n) per scenario and is computed in place on the
     one count x n buffer of draws. At rho = 1 (a = 0) every column is
     bit-identical, and at rho = 0 (b - a = 0) or n = 1 the result is
-    mu + sigma * Z. The draws Z come from Philox keyed by the seed, as before;
-    correlated scenarios for a given seed differ from those of the earlier
-    Cholesky sampler, while rho = 0 scenarios are unchanged.
+    mu + sigma * Z, formed without the row means when mu != 0. The draws Z
+    come from Philox keyed by the seed, as before; correlated scenarios for a
+    given seed differ from those of the earlier Cholesky sampler, while
+    rho = 0 scenarios are unchanged. The returned `scenarios` array is
+    read-only.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -107,11 +119,20 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
     b = math.sqrt(1.0 + (n - 1) * rho)
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.standard_normal((count, n))
-    shift = draws.mean(axis=1)
-    shift *= sigma * (b - a)
-    shift += mu
-    draws *= sigma * a
-    draws += shift[:, np.newaxis]
+    weight = sigma * (b - a)
+    if weight == 0.0 and mu != 0.0:
+        # The factor term weight * Zbar is a signed zero and mu + (+-0) = mu,
+        # so no row mean is needed. At mu = -0.0 the sign of a zero entry
+        # follows the sign of its row mean, so a zero mu takes the full form.
+        draws *= sigma * a
+        draws += mu
+    else:
+        shift = draws.mean(axis=1)
+        shift *= weight
+        shift += mu
+        draws *= sigma * a
+        draws += shift[:, np.newaxis]
+    draws.flags.writeable = False
     return DemandMatrix(scenarios=draws, seed=seed, rho_target=rho)
 
 
@@ -144,6 +165,30 @@ def _surplus_shortage(x: float, scenarios: np.ndarray) -> tuple[np.ndarray, np.n
     return surplus, shortage
 
 
+def _totals(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(S_H, S_E) at x, reduced once per x on a read-only matrix.
+
+    A read-only matrix that owns its data holds the totals of the last x it
+    was reduced at, keyed by the exact double (a -0.0 is not a 0.0). Any other
+    matrix, whose entries a caller could still change, is reduced every time.
+    The entry is replaced whole, so concurrent callers at worst repeat a pass.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"quantity x must be finite, got {x!r}")
+    scenarios = samples.scenarios
+    if scenarios.flags.writeable or not scenarios.flags.owndata:
+        return _surplus_shortage(x, scenarios)
+    key = x.hex()
+    held = samples._last_totals
+    if held is not None and held[0] == key:
+        return held[1], held[2]
+    surplus, shortage = _surplus_shortage(x, scenarios)
+    surplus.flags.writeable = shortage.flags.writeable = False
+    object.__setattr__(samples, "_last_totals", (key, surplus, shortage))
+    return surplus, shortage
+
+
 def _summarize(values: np.ndarray) -> McEstimate:
     count = values.shape[0]
     if count < 2:
@@ -162,17 +207,21 @@ def estimate_profit(x: float, samples: DemandMatrix, params: MarketParams) -> Mc
     recourse profit p * min(sum H, sum E) (the identical-agent shortcut; its
     agreement with the general transportation solver is checked separately).
     Since min(x, D_i) = x - H_i, the first sum is n x (r - c) - (r - nu) S_H.
+    A non-finite x raises ValueError.
     """
     econ = validate_params(params)
-    surplus, shortage = _surplus_shortage(x, samples.scenarios)
+    surplus, shortage = _totals(x, samples)
     profit = samples.n * x * (params.r - params.c) - (params.r - params.nu) * surplus
     profit += econ.p * np.minimum(surplus, shortage)
     return _summarize(profit)
 
 
 def estimate_transshipment(x: float, samples: DemandMatrix) -> McEstimate:
-    """Monte Carlo estimate of the transshipped amount min(sum H, sum E) at x."""
-    surplus, shortage = _surplus_shortage(x, samples.scenarios)
+    """Monte Carlo estimate of the transshipped amount min(sum H, sum E) at x.
+
+    A non-finite x raises ValueError.
+    """
+    surplus, shortage = _totals(x, samples)
     return _summarize(np.minimum(surplus, shortage))
 
 
@@ -238,15 +287,16 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
     The grid is generated and evaluated in blocks of _GRID_BLOCK points by the
     array form of J_n, whose results are bit-identical to evaluating each
     point of np.linspace on its own; memory does not grow with grid_points.
-    A nan or +inf profit on the grid, from overflow at huge widths, raises
-    ValueError.
+    A width whose double 2w overflows raises ValueError, and so does a nan or
+    +inf profit on the grid, from overflow at huge widths.
     """
     econ = validate_params(params)
     if (not isinstance(grid_points, numbers.Integral) or grid_points < 3
             or grid_points % 2 == 0):
         raise ValueError(f"grid_points must be an odd integer >= 3, got {grid_points!r}")
-    if not (math.isfinite(grid_half_width) and grid_half_width > 0):
-        raise ValueError(f"grid_half_width must be finite and positive, got {grid_half_width!r}")
+    if not (math.isfinite(2.0 * grid_half_width) and grid_half_width > 0):
+        raise ValueError(f"grid_half_width must be finite and positive, and 2 * grid_half_width "
+                         f"finite, got {grid_half_width!r}")
     L = pooling_factor(n, params.rho)
     mu, sigma, t = params.mu, params.sigma, params.t
     best_y = best_profit = -math.inf

@@ -144,6 +144,14 @@ class TestSweep:
         assert text == ""
         assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)!r}\n"
 
+    def test_over_t_range_that_overflows_exits_with_one_line(self, capsys):
+        # both bounds are finite, but --to - --from is not
+        code, text = run_cli(["sweep", "--over", "t", "--from=-1e308", "--to", "1.7e308",
+                              "--steps", "3", *UNDER_ARGS, "--n", "4"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == "error: --to - --from must be finite, got inf\n"
+
     def test_over_n_rows_match_single_size_solves(self):
         rng = np.random.default_rng(37)
         for params in [MarketParams(10, 6, 2, 2, 100, 20, 0)] + edge_markets(rng, 12):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from transship.game_model import MarketParams, ParameterError, pooling_factor, v
 from transship.normal_math import cdf_antiderivative, std_cdf, std_pdf
 from transship.simulation import (
     RNG_ALGORITHM,
+    DemandMatrix,
     brute_force_optimal,
     dump_scenarios,
     estimate_profit,
@@ -78,6 +80,19 @@ def reference_brute_force(params, n, grid_half_width, grid_points):
     return mu + sigma * best_y, best_profit
 
 
+def count_kernel_calls(monkeypatch):
+    """Wrap the blocked totals kernel and return the list its calls append to."""
+    calls = []
+    kernel = simulation._surplus_shortage
+
+    def counted(x, scenarios):
+        calls.append(x)
+        return kernel(x, scenarios)
+
+    monkeypatch.setattr(simulation, "_surplus_shortage", counted)
+    return calls
+
+
 def deep_tail_market(fractile, rho):
     """A market whose critical fractile R is `fractile`, up to rounding."""
     return MarketParams(r=10, c=10 - 8 * fractile, nu=2, t=1, mu=100, sigma=20, rho=rho)
@@ -114,6 +129,46 @@ class TestSampleDemands:
         samples = sample_demands(n, 100, 20, rho, 1000, seed=15)
         z = np.random.Generator(np.random.Philox(key=15)).standard_normal((1000, n))
         assert np.array_equal(samples.scenarios, 100 + 20 * z)
+
+    # sha256 of sample_demands(n, 100, 20, rho, 301, seed=41).scenarios.tobytes(),
+    # recorded from the sampler that always formed the row means.
+    STREAM_DIGESTS = {
+        (1, "0"): "38c9b1b793bd7294215778fcee9bf6400b6c757bd64d0734fe08513328b10d76",
+        (1, "0.4"): "38c9b1b793bd7294215778fcee9bf6400b6c757bd64d0734fe08513328b10d76",
+        (1, "1"): "38c9b1b793bd7294215778fcee9bf6400b6c757bd64d0734fe08513328b10d76",
+        (1, "lower"): "38c9b1b793bd7294215778fcee9bf6400b6c757bd64d0734fe08513328b10d76",
+        (7, "0"): "293476da1979165a6cd0310bb75a308c945bd6b8b0be6afa26e52f4e2753d77c",
+        (7, "0.4"): "67cdbf26c2596121ba52296705e9883f5803f19bf11a0222bd035d66549c8059",
+        (7, "1"): "50eec78f770cf98853f3db940ef15ff9516e4aadcc18c48c4a4b75185bf314f7",
+        (7, "lower"): "b485f7e7a52816291cc1a89be34343052764d40ed6f1915a65f462b76f1afa22",
+        (128, "0"): "40b989fbf1c9d0e29cca2a70b698ac2ef07d53844d1438f7bacbb709d7b176cc",
+        (128, "0.4"): "86baa1ec9d3311199f0d3fbc42d704125c5e1c701c2bd909a9c720dfbe23ebef",
+        (128, "1"): "9806aff4e882cf95ab95e48bd2bd379223fd1fa2bd06fe1fe5fb341df8794f9c",
+        (128, "lower"): "00303988d32a2de333888be21421249c94865130a3a113f12e5e5e295625ffff",
+    }
+
+    @pytest.mark.parametrize("n,rho_kind", sorted(STREAM_DIGESTS))
+    def test_stream_is_pinned(self, n, rho_kind):
+        rho = near_lower_rho(n) if rho_kind == "lower" else float(rho_kind)
+        samples = sample_demands(n, 100.0, 20.0, rho, 301, seed=41)
+        digest = hashlib.sha256(samples.scenarios.tobytes()).hexdigest()
+        assert digest == self.STREAM_DIGESTS[n, rho_kind]
+
+    def test_zero_factor_weight_keeps_the_signs_of_zeros(self):
+        # At rho = 0 the factor term is a signed zero. With mu = -0.0 and a
+        # subnormal sigma most entries are zeros whose sign follows the row mean.
+        for mu in (-0.0, 0.0, 1e-300):
+            samples = sample_demands(3, mu, 5e-324, 0.0, 2000, seed=7)
+            z = np.random.Generator(np.random.Philox(key=7)).standard_normal((2000, 3))
+            shift = z.mean(axis=1) * (5e-324 * 0.0) + mu
+            assert samples.scenarios.tobytes() == (z * 5e-324 + shift[:, np.newaxis]).tobytes()
+
+    def test_scenarios_are_read_only(self):
+        samples = sample_demands(4, 100, 20, 0.3, 50, seed=99)
+        with pytest.raises(ValueError, match="read-only"):
+            samples.scenarios[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            samples.scenarios += 1.0
 
     @pytest.mark.parametrize("rho", [near_lower_rho(128), 0.9])
     def test_equicorrelated_moments_at_n128(self, rho):
@@ -229,25 +284,113 @@ class TestEstimatorKernel:
 
     @pytest.mark.parametrize("n", [1, 7, 128])
     def test_block_size_does_not_change_estimates(self, monkeypatch, n):
-        samples = sample_demands(n, 100, 20, 0.3, 3001, seed=19)
-        blocked = (estimate_profit(97.0, samples, MEAN_GAME),
-                   estimate_transshipment(97.0, samples))
-        for block in (1, samples.count, samples.count * n):
-            monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block)
-            assert (estimate_profit(97.0, samples, MEAN_GAME),
-                    estimate_transshipment(97.0, samples)) == blocked
+        # Each estimate gets a fresh matrix, so every one runs the kernel at the
+        # patched block size rather than reusing totals.
+        def fresh():
+            return sample_demands(n, 100, 20, 0.3, 3001, seed=19)
 
-    def test_memory_stays_below_a_quarter_of_the_matrix(self):
-        samples = sample_demands(64, 100, 20, 0.3, 50_000, seed=20)
-        for estimate in (lambda: estimate_profit(100.0, samples, MEAN_GAME),
-                         lambda: estimate_transshipment(100.0, samples)):
+        blocked = (estimate_profit(97.0, fresh(), MEAN_GAME),
+                   estimate_transshipment(97.0, fresh()))
+        calls = count_kernel_calls(monkeypatch)
+        for block in (1, 3001, 3001 * n):
+            monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block)
+            assert (estimate_profit(97.0, fresh(), MEAN_GAME),
+                    estimate_transshipment(97.0, fresh())) == blocked
+        assert len(calls) == 6
+
+    def test_memory_stays_below_a_quarter_of_the_matrix(self, monkeypatch):
+        calls = count_kernel_calls(monkeypatch)
+        for estimate in (lambda samples: estimate_profit(100.0, samples, MEAN_GAME),
+                         lambda samples: estimate_transshipment(100.0, samples)):
+            samples = sample_demands(64, 100, 20, 0.3, 50_000, seed=20)
             tracemalloc.start()
             try:
-                estimate()
+                estimate(samples)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < samples.scenarios.nbytes / 4
+        assert len(calls) == 2
+
+
+class TestSharedTotals:
+    """Both estimators at one x reduce a sampled matrix once, with results
+    bit-identical to estimates on a matrix of their own."""
+
+    @staticmethod
+    def fresh():
+        return sample_demands(7, 100, 20, 0.3, 2001, seed=24)
+
+    @pytest.mark.parametrize("profit_first", [True, False])
+    def test_estimates_match_a_fresh_matrix(self, monkeypatch, profit_first):
+        samples = self.fresh()
+        calls = count_kernel_calls(monkeypatch)
+        for x in (103.0, 91.5, 103.0):
+            if profit_first:
+                profit = estimate_profit(x, samples, MEAN_GAME)
+                moved = estimate_transshipment(x, samples)
+            else:
+                moved = estimate_transshipment(x, samples)
+                profit = estimate_profit(x, samples, MEAN_GAME)
+            assert (profit, moved) == (estimate_profit(x, self.fresh(), MEAN_GAME),
+                                       estimate_transshipment(x, self.fresh()))
+        # one pass per x on the shared matrix, one per estimate on the fresh ones
+        assert len(calls) == 3 + 6
+
+    def test_zero_and_negative_zero_are_different_keys(self, monkeypatch):
+        samples = self.fresh()
+        calls = count_kernel_calls(monkeypatch)
+        estimate_transshipment(0.0, samples)
+        estimate_transshipment(-0.0, samples)
+        estimate_transshipment(-0.0, samples)
+        assert [math.copysign(1.0, x) for x in calls] == [1.0, -1.0]
+
+    def test_held_totals_are_read_only(self):
+        samples = self.fresh()
+        estimate_transshipment(100.0, samples)
+        surplus, shortage = simulation._totals(100.0, samples)
+        assert not surplus.flags.writeable and not shortage.flags.writeable
+
+    def test_writable_matrix_is_reduced_on_every_call(self):
+        scenarios = self.fresh().scenarios.copy()
+        samples = DemandMatrix(scenarios=scenarios, seed=24, rho_target=0.3)
+        before = estimate_transshipment(100.0, samples)
+        scenarios[:, 0] += 50.0
+        after = (estimate_profit(100.0, samples, MEAN_GAME),
+                 estimate_transshipment(100.0, samples))
+        assert after[1] != before
+        copy = DemandMatrix(scenarios=scenarios.copy(), seed=24, rho_target=0.3)
+        assert after == (estimate_profit(100.0, copy, MEAN_GAME),
+                         estimate_transshipment(100.0, copy))
+
+    def test_read_only_view_of_a_writable_array_is_reduced_on_every_call(self):
+        scenarios = self.fresh().scenarios.copy()
+        view = scenarios.view()
+        view.flags.writeable = False
+        samples = DemandMatrix(scenarios=view, seed=24, rho_target=0.3)
+        before = estimate_transshipment(100.0, samples)
+        scenarios[:, 0] += 50.0
+        after = estimate_transshipment(100.0, samples)
+        assert after != before
+        copy = DemandMatrix(scenarios=scenarios.copy(), seed=24, rho_target=0.3)
+        assert after == estimate_transshipment(100.0, copy)
+
+    def test_repr_and_fields_leave_out_the_held_totals(self):
+        samples = self.fresh()
+        estimate_transshipment(100.0, samples)
+        assert "_last_totals" not in repr(samples)
+        with pytest.raises(TypeError):
+            DemandMatrix(scenarios=samples.scenarios, seed=24, rho_target=0.3,
+                         _last_totals=None)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_quantity(self, x):
+        samples = self.fresh()
+        estimate_transshipment(100.0, samples)    # a held entry must not answer
+        with pytest.raises(ValueError, match="quantity x must be finite"):
+            estimate_profit(x, samples, MEAN_GAME)
+        with pytest.raises(ValueError, match="quantity x must be finite"):
+            estimate_transshipment(x, samples)
 
 
 class TestEstimateTransshipment:
@@ -373,6 +516,16 @@ class TestBruteForceOptimal:
     def test_rejects_bad_grid_width(self, width):
         with pytest.raises(ValueError, match="grid_half_width must be finite and positive"):
             brute_force_optimal(MEAN_GAME, 1, width, 2001)
+
+    @pytest.mark.parametrize("width", [1e308, 9e307, 1.7976931348623157e308])
+    def test_rejects_width_whose_double_overflows(self, width):
+        # 2w overflows: rejected before numpy warns about inf - inf on the grid
+        with pytest.raises(ValueError, match="grid_half_width must be finite and positive"):
+            brute_force_optimal(MEAN_GAME, 1, width, 2001)
+
+    def test_width_whose_double_is_finite_reaches_the_grid(self):
+        with pytest.raises(ValueError, match="expected profit is nan"):
+            brute_force_optimal(MEAN_GAME, 1, 8.98e307, 2001)
 
     @pytest.mark.parametrize("points", [2001.0, 2001.5, "2001"])
     def test_rejects_bad_grid_points(self, points):
