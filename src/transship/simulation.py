@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -37,32 +37,132 @@ __all__ = [
 RNG_ALGORITHM = "numpy-philox4x64"
 
 
-@dataclass(frozen=True, eq=False)
-class DemandMatrix:
-    """Sampled joint demand scenarios: one row per draw, one column per agent.
+# Matrix entries per block when a pass draws or walks the scenarios (256 KiB
+# of float64, at least one row): its scratch memory does not grow with count.
+_BLOCK_ELEMENTS = 1 << 15
 
-    `sample_demands` returns `scenarios` read-only. The estimators keep the
-    per-scenario totals of their last x on such a matrix, so estimating the
-    profit and the transshipment at one x reduces the scenarios once. A matrix
-    built around a writable array is reduced afresh on every call. Setting
-    `scenarios.flags.writeable` back to True to edit a sampled matrix would
-    leave those held totals stale; copy the array instead.
+# Entries in the largest float64 array numpy can address.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block when a pass walks the scenarios: about _BLOCK_ELEMENTS
+    entries, at least one row."""
+    return max(1, _BLOCK_ELEMENTS // n)
+
+
+@dataclass(frozen=True)
+class _Recipe:
+    """What `sample_demands` draws: Philox keyed by `seed`, then per scenario
+    D = mu + scale * Z + weight * Zbar."""
+
+    n: int
+    count: int
+    mu: float
+    scale: float    # sigma * a
+    weight: float   # sigma * (b - a)
+    seed: int
+
+    def blocks(self, out: Optional[np.ndarray] = None):
+        """Yield (first row, block) over the scenarios, in order.
+
+        Each block is drawn and transformed in place: into its rows of `out`
+        when given, else into one reused buffer that the next step overwrites.
+        Philox's ziggurat normals use a variable number of counters, so the
+        blocks come in order from one generator, which reproduces the stream of
+        a single count x n draw bit for bit. Each row mean is taken over its
+        own row, so the result does not depend on the block size.
+        """
+        rows = _block_rows(self.n)
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        buffer = np.empty((min(rows, self.count), self.n)) if out is None else None
+        for lo in range(0, self.count, rows):
+            size = min(rows, self.count - lo)
+            block = buffer[:size] if out is None else out[lo:lo + size]
+            rng.standard_normal(out=block)
+            if self.weight == 0.0 and self.mu != 0.0:
+                # The factor term weight * Zbar is a signed zero and mu + (+-0) = mu,
+                # so no row mean is needed. At mu = -0.0 the sign of a zero entry
+                # follows the sign of its row mean, so a zero mu takes the full form.
+                block *= self.scale
+                block += self.mu
+            else:
+                shift = block.mean(axis=1)
+                shift *= self.weight
+                shift += self.mu
+                block *= self.scale
+                block += shift[:, np.newaxis]
+            yield lo, block
+
+
+class DemandMatrix:
+    """Joint demand scenarios: `count` rows of draws, one column per agent.
+
+    `sample_demands` returns a recipe: it holds the sampler's arguments and
+    draws nothing when made. The estimators and `dump_scenarios` draw the
+    scenarios block by block, so they hold O(block + count) memory and never
+    the count x n matrix. Reading `scenarios` draws the whole matrix once and
+    keeps it, read-only; later passes then walk it instead of drawing again.
+    Every pass gives the same bits. `DemandMatrix(scenarios=array, seed=...,
+    rho_target=...)` wraps a caller's own (count, n) array as it is.
+
+    A recipe holds the per-scenario totals of the last x the estimators
+    reduced it at, so estimating the profit and the transshipment at one x
+    takes one pass, and a new x takes another. A wrapped array, which its owner
+    may still change, is reduced on every call. Setting
+    `scenarios.flags.writeable` back to True to edit a recipe's matrix would
+    leave those held totals stale; copy the array instead. Instances are
+    immutable, and equal only to themselves.
     """
 
-    scenarios: np.ndarray
-    seed: int
-    rho_target: float
-    rng_algorithm: str = RNG_ALGORITHM
-    # (x.hex(), S_H, S_E) of the last x estimated on a read-only matrix.
-    _last_totals: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, scenarios: np.ndarray, seed: int, rho_target: float,
+                 rng_algorithm: str = RNG_ALGORITHM) -> None:
+        # _last_totals: (x.hex(), S_H, S_E) of the last x estimated on a recipe.
+        self.__dict__.update(_matrix=scenarios, _recipe=None, _last_totals=None, seed=seed,
+                             rho_target=rho_target, rng_algorithm=rng_algorithm)
+
+    @classmethod
+    def _from_recipe(cls, recipe: _Recipe, rho_target: float) -> "DemandMatrix":
+        samples = cls(None, recipe.seed, rho_target)
+        object.__setattr__(samples, "_recipe", recipe)
+        return samples
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"DemandMatrix(n={self.n}, count={self.count}, seed={self.seed!r}, "
+                f"rho_target={self.rho_target!r}, rng_algorithm={self.rng_algorithm!r})")
+
+    @property
+    def scenarios(self) -> np.ndarray:
+        """The (count, n) matrix; on a recipe the first read draws and keeps it."""
+        if self._matrix is None:
+            matrix = np.empty((self._recipe.count, self._recipe.n))
+            for _ in self._recipe.blocks(out=matrix):
+                pass
+            matrix.flags.writeable = False
+            object.__setattr__(self, "_matrix", matrix)
+        return self._matrix
 
     @property
     def count(self) -> int:
-        return self.scenarios.shape[0]
+        return self._matrix.shape[0] if self._recipe is None else self._recipe.count
 
     @property
     def n(self) -> int:
-        return self.scenarios.shape[1]
+        return self._matrix.shape[1] if self._recipe is None else self._recipe.n
+
+    def _blocks(self):
+        """(first row, block) over the scenarios: slices of the held matrix, or
+        on a recipe not yet read whole, fresh draws into one reused buffer."""
+        if self._matrix is None:
+            return self._recipe.blocks()
+        rows = _block_rows(self.n)
+        return ((lo, self._matrix[lo:lo + rows]) for lo in range(0, self.count, rows))
 
 
 @dataclass(frozen=True)
@@ -74,13 +174,19 @@ class McEstimate:
     count: int
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def sample_demands(n: int, mu: float, sigma: float, rho: float,
                    count: int, seed: int) -> DemandMatrix:
-    """Draw `count` independent scenarios from the equicorrelated n-variate normal.
+    """`count` independent scenarios from the equicorrelated n-variate normal.
 
     Mean mu * 1, covariance sigma^2 * [(1 - rho) I + rho 11^T]; requires
-    finite mu, finite sigma > 0 and -1/(n-1) < rho <= 1. Identical (seed,
-    arguments) give a bit-identical matrix.
+    integers n >= 1 and count >= 1, finite mu, finite sigma > 0,
+    -1/(n-1) < rho <= 1 and an integer seed in [0, 2**128) (bools are not
+    integers here). Each violation raises a one-line ParameterError from this
+    call. Identical (seed, arguments) give bit-identical scenarios.
 
     Uses the one-factor representation of the equicorrelated normal (Tong,
     The Multivariate Normal Distribution, 1990, section 8.2): with Z the
@@ -90,114 +196,112 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
         a = sqrt(1 - rho),  b = sqrt(1 + (n - 1) rho),
 
     which has unit variances and correlation rho, exactly, across the whole
-    valid range. It costs O(n) per scenario and is computed in place on the
-    one count x n buffer of draws. At rho = 1 (a = 0) every column is
-    bit-identical, and at rho = 0 (b - a = 0) or n = 1 the result is
+    valid range. It costs O(n) per scenario. At rho = 1 (a = 0) every column
+    is bit-identical, and at rho = 0 (b - a = 0) or n = 1 the result is
     mu + sigma * Z, formed without the row means when mu != 0. The draws Z
     come from Philox keyed by the seed, as before; correlated scenarios for a
     given seed differ from those of the earlier Cholesky sampler, while
-    rho = 0 scenarios are unchanged. The returned `scenarios` array is
-    read-only.
+    rho = 0 scenarios are unchanged.
+
+    Nothing is drawn here: the result is a recipe (see DemandMatrix). Each
+    pass draws Z in blocks of about _BLOCK_ELEMENTS entries, in order, and
+    applies the formula to each block in place, which gives the same bits as
+    one count x n draw. So every pass over an unread recipe draws afresh,
+    while reading `scenarios` once keeps the matrix, read-only.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    if not _is_integer(n) or n < 1:
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
     for name, value in (("mu", mu), ("sigma", sigma)):
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value!r}")
     if sigma <= 0:
         raise ParameterError(f"sigma = {sigma} <= 0")
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    if not _is_integer(count) or count < 1:
+        raise ParameterError(f"count must be an integer >= 1, got {count!r}")
     if not -1.0 < rho <= 1.0:
         raise ParameterError(f"rho = {rho} outside (-1, 1]")
     if n >= 2 and rho <= -1.0 / (n - 1):
         raise ParameterError(
             f"rho = {rho} <= -1/(n-1) = {-1.0 / (n - 1)}: covariance not positive-definite"
         )
+    if not (_is_integer(seed) and 0 <= seed < 2**128):
+        raise ParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    n, count = int(n), int(count)
+    if count * n > _MAX_ENTRIES:
+        raise ParameterError(f"count * n = {count * n} entries exceed the largest "
+                             f"array numpy can hold ({_MAX_ENTRIES})")
     # A single agent has no pairwise correlation, so rho drops out (a = b = 1).
     a = math.sqrt(1.0 - rho) if n > 1 else 1.0
     b = math.sqrt(1.0 + (n - 1) * rho)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = rng.standard_normal((count, n))
-    weight = sigma * (b - a)
-    if weight == 0.0 and mu != 0.0:
-        # The factor term weight * Zbar is a signed zero and mu + (+-0) = mu,
-        # so no row mean is needed. At mu = -0.0 the sign of a zero entry
-        # follows the sign of its row mean, so a zero mu takes the full form.
-        draws *= sigma * a
-        draws += mu
-    else:
-        shift = draws.mean(axis=1)
-        shift *= weight
-        shift += mu
-        draws *= sigma * a
-        draws += shift[:, np.newaxis]
-    draws.flags.writeable = False
-    return DemandMatrix(scenarios=draws, seed=seed, rho_target=rho)
+    recipe = _Recipe(n=n, count=count, mu=mu, scale=sigma * a, weight=sigma * (b - a),
+                     seed=int(seed))
+    return DemandMatrix._from_recipe(recipe, rho)
 
 
-# Matrix entries per block when the estimators walk the scenarios (256 KiB of
-# float64, at least one row): their scratch memory does not grow with count.
-_BLOCK_ELEMENTS = 1 << 15
-
-
-def _surplus_shortage(x: float, scenarios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _surplus_shortage(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-scenario totals S_H = sum_i max(x - D_i, 0) and S_E = sum_i max(D_i - x, 0).
 
-    Walks the rows in blocks of about _BLOCK_ELEMENTS entries through one
-    reused buffer. Each row is reduced on its own, so the totals do not
-    depend on the block size.
+    Reduces each block of the scenarios through one reused scratch buffer
+    while the block is still in cache. Each row is reduced on its own, so the
+    totals do not depend on the block size. Overflow gives inf or nan
+    silently, for the caller to reject.
     """
-    count, n = scenarios.shape
-    rows = max(1, _BLOCK_ELEMENTS // n)
+    count, n = samples.count, samples.n
     surplus = np.empty(count)
     shortage = np.empty(count)
-    buffer = np.empty((min(rows, count), n))
-    for lo in range(0, count, rows):
-        block = scenarios[lo:lo + rows]
-        scratch = buffer[:block.shape[0]]
-        np.subtract(x, block, out=scratch)
-        np.maximum(scratch, 0.0, out=scratch)
-        scratch.sum(axis=1, out=surplus[lo:lo + rows])
-        np.subtract(block, x, out=scratch)
-        np.maximum(scratch, 0.0, out=scratch)
-        scratch.sum(axis=1, out=shortage[lo:lo + rows])
+    buffer = np.empty((min(_block_rows(n), count), n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, block in samples._blocks():
+            hi = lo + block.shape[0]
+            scratch = buffer[:block.shape[0]]
+            np.subtract(x, block, out=scratch)
+            np.maximum(scratch, 0.0, out=scratch)
+            scratch.sum(axis=1, out=surplus[lo:hi])
+            np.subtract(block, x, out=scratch)
+            np.maximum(scratch, 0.0, out=scratch)
+            scratch.sum(axis=1, out=shortage[lo:hi])
     return surplus, shortage
 
 
 def _totals(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(S_H, S_E) at x, reduced once per x on a read-only matrix.
+    """(S_H, S_E) at x, reduced once per x on a recipe.
 
-    A read-only matrix that owns its data holds the totals of the last x it
-    was reduced at, keyed by the exact double (a -0.0 is not a 0.0). Any other
-    matrix, whose entries a caller could still change, is reduced every time.
-    The entry is replaced whole, so concurrent callers at worst repeat a pass.
+    A recipe holds the totals of the last x it was reduced at, keyed by the
+    exact double (a -0.0 is not a 0.0); its scenarios are fixed by its seed,
+    so the entry cannot go stale. A wrapped array, whose entries its owner
+    could still change, is reduced every time. The entry is replaced whole,
+    so concurrent callers at worst repeat a pass. A non-finite x, an n * x
+    that overflows, or totals that are not finite raise ValueError.
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"quantity x must be finite, got {x!r}")
-    scenarios = samples.scenarios
-    if scenarios.flags.writeable or not scenarios.flags.owndata:
-        return _surplus_shortage(x, scenarios)
+    if not math.isfinite(samples.n * x):
+        raise ValueError(f"n * x overflows at quantity x = {x!r}, n = {samples.n}")
     key = x.hex()
     held = samples._last_totals
     if held is not None and held[0] == key:
         return held[1], held[2]
-    surplus, shortage = _surplus_shortage(x, scenarios)
-    surplus.flags.writeable = shortage.flags.writeable = False
-    object.__setattr__(samples, "_last_totals", (key, surplus, shortage))
+    surplus, shortage = _surplus_shortage(x, samples)
+    if not (np.isfinite(surplus).all() and np.isfinite(shortage).all()):
+        raise ValueError(f"surplus or shortage totals are not finite at quantity x = {x!r}")
+    if samples._recipe is not None:
+        surplus.flags.writeable = shortage.flags.writeable = False
+        object.__setattr__(samples, "_last_totals", (key, surplus, shortage))
     return surplus, shortage
 
 
-def _summarize(values: np.ndarray) -> McEstimate:
+def _summarize(values: np.ndarray, x: float) -> McEstimate:
     count = values.shape[0]
     if count < 2:
         raise ValueError("at least 2 scenarios are needed for a standard error")
-    return McEstimate(
-        mean=float(values.mean()),
-        std_error=float(values.std(ddof=1) / math.sqrt(count)),
-        count=count,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        std_error = float(values.std(ddof=1) / math.sqrt(count))
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise ValueError(f"estimate is not finite at quantity x = {x!r}: "
+                         f"mean {mean!r}, std error {std_error!r}")
+    return McEstimate(mean=mean, std_error=std_error, count=count)
 
 
 def estimate_profit(x: float, samples: DemandMatrix, params: MarketParams) -> McEstimate:
@@ -207,22 +311,24 @@ def estimate_profit(x: float, samples: DemandMatrix, params: MarketParams) -> Mc
     recourse profit p * min(sum H, sum E) (the identical-agent shortcut; its
     agreement with the general transportation solver is checked separately).
     Since min(x, D_i) = x - H_i, the first sum is n x (r - c) - (r - nu) S_H.
-    A non-finite x raises ValueError.
+    A non-finite x, or an x so large that a total or the estimate overflows,
+    raises ValueError.
     """
     econ = validate_params(params)
     surplus, shortage = _totals(x, samples)
-    profit = samples.n * x * (params.r - params.c) - (params.r - params.nu) * surplus
-    profit += econ.p * np.minimum(surplus, shortage)
-    return _summarize(profit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        profit = samples.n * x * (params.r - params.c) - (params.r - params.nu) * surplus
+        profit += econ.p * np.minimum(surplus, shortage)
+    return _summarize(profit, x)
 
 
 def estimate_transshipment(x: float, samples: DemandMatrix) -> McEstimate:
     """Monte Carlo estimate of the transshipped amount min(sum H, sum E) at x.
 
-    A non-finite x raises ValueError.
+    A non-finite x, or an x so large that a total overflows, raises ValueError.
     """
     surplus, shortage = _totals(x, samples)
-    return _summarize(np.minimum(surplus, shortage))
+    return _summarize(np.minimum(surplus, shortage), x)
 
 
 # Grid points per block of the profit kernel: its scratch memory does not
@@ -316,9 +422,14 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
 
 
 def dump_scenarios(samples: DemandMatrix, path: Union[str, Path]) -> None:
-    """Write scenarios to CSV (scenario_id, D_1..D_n) at full precision."""
+    """Write scenarios to CSV (scenario_id, D_1..D_n) at full precision.
+
+    Rows are written block by block, so an unread recipe is drawn as it is
+    written and never held whole.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["scenario_id"] + [f"D_{j + 1}" for j in range(samples.n)])
-        for idx, row in enumerate(samples.scenarios):
-            writer.writerow([idx] + [repr(float(d)) for d in row])
+        for lo, block in samples._blocks():
+            writer.writerows([lo + i] + [repr(d) for d in row]
+                             for i, row in enumerate(block.tolist()))

@@ -135,6 +135,21 @@ def test_simulate_dump_unchanged(tmp_path):
     assert path.read_bytes() == SIMULATE_DUMP
 
 
+def test_simulate_does_not_hold_the_scenario_matrix():
+    # The 128 x 100,000 matrix alone is 97.7 MiB; the process reads its own
+    # peak resident size, so nothing from the test runner counts.
+    pytest.importorskip("resource")
+    code = """
+import io, resource, sys, transship.cli
+transship.cli.main(sys.argv[1:], out=io.StringIO())
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
+"""
+    market = SIMULATE_ARGS[:SIMULATE_ARGS.index("--n")]
+    peak_mib = float(run_fresh(code, *market, "--n", "128", "--count", "100000"))
+    assert peak_mib < 80.0
+
+
 def test_all_lists_every_public_name():
     namespace = {}
     exec("from transship import *", namespace)

@@ -93,6 +93,10 @@ def count_kernel_calls(monkeypatch):
     return calls
 
 
+def mean_game_profit(x, samples):
+    return estimate_profit(x, samples, MEAN_GAME)
+
+
 def deep_tail_market(fractile, rho):
     """A market whose critical fractile R is `fractile`, up to rounding."""
     return MarketParams(r=10, c=10 - 8 * fractile, nu=2, t=1, mu=100, sigma=20, rho=rho)
@@ -153,6 +157,50 @@ class TestSampleDemands:
         samples = sample_demands(n, 100.0, 20.0, rho, 301, seed=41)
         digest = hashlib.sha256(samples.scenarios.tobytes()).hexdigest()
         assert digest == self.STREAM_DIGESTS[n, rho_kind]
+
+    @pytest.mark.parametrize("block", [1, 1000])
+    @pytest.mark.parametrize("n,rho_kind", sorted(STREAM_DIGESTS))
+    def test_stream_is_block_independent(self, monkeypatch, n, rho_kind, block):
+        # Blocks are drawn in order from one generator, so any block size gives
+        # the one-call stream, whether the matrix is read whole or streamed.
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block)
+        rho = near_lower_rho(n) if rho_kind == "lower" else float(rho_kind)
+        streamed = hashlib.sha256()
+        for _, part in sample_demands(n, 100.0, 20.0, rho, 301, seed=41)._blocks():
+            assert part.size <= max(block, n)
+            streamed.update(part.tobytes())
+        samples = sample_demands(n, 100.0, 20.0, rho, 301, seed=41)
+        read = hashlib.sha256(samples.scenarios.tobytes())
+        assert streamed.hexdigest() == read.hexdigest() == self.STREAM_DIGESTS[n, rho_kind]
+
+    @pytest.mark.parametrize("seed", [None, 1.5, 7.0, True, False, -1, 2**128, "7",
+                                      np.float64(3.0), np.bool_(True)])
+    def test_rejects_a_seed_that_is_not_an_integer_in_range(self, seed):
+        with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+            sample_demands(4, 100, 20, 0.3, 10, seed=seed)
+
+    @pytest.mark.parametrize("name,value", [("n", 2.0), ("n", True), ("n", np.float64(4.0)),
+                                            ("count", 10.0), ("count", True), ("count", "10")])
+    def test_rejects_non_integer_sizes(self, name, value):
+        kwargs = dict(n=4, mu=100, sigma=20, rho=0.3, count=10, seed=0)
+        kwargs[name] = value
+        with pytest.raises(ParameterError, match=f"{name} must be an integer >= 1"):
+            sample_demands(**kwargs)
+
+    def test_accepts_numpy_integers_and_the_largest_seed(self):
+        expected = sample_demands(7, 100, 20, 0.4, 301, seed=41).scenarios
+        samples = sample_demands(np.int64(7), 100, 20, 0.4, np.uint32(301), seed=np.uint64(41))
+        assert (samples.n, samples.count, samples.seed) == (7, 301, 41)
+        assert type(samples.n) is type(samples.count) is type(samples.seed) is int
+        assert samples.scenarios.tobytes() == expected.tobytes()
+        top = sample_demands(3, 100, 20, 0.0, 5, seed=2**128 - 1).scenarios
+        z = np.random.Generator(np.random.Philox(key=2**128 - 1)).standard_normal((5, 3))
+        assert top.tobytes() == (100 + 20 * z).tobytes()
+
+    def test_rejects_more_entries_than_an_array_can_hold(self):
+        # The matrix is never drawn here, so the size is checked at the call.
+        with pytest.raises(ParameterError, match="entries exceed the largest array"):
+            sample_demands(2**40, 100, 20, 0.0, 2**40, seed=0)
 
     def test_zero_factor_weight_keeps_the_signs_of_zeros(self):
         # At rho = 0 the factor term is a signed zero. With mu = -0.0 and a
@@ -391,6 +439,170 @@ class TestSharedTotals:
             estimate_profit(x, samples, MEAN_GAME)
         with pytest.raises(ValueError, match="quantity x must be finite"):
             estimate_transshipment(x, samples)
+
+
+class TestStreamedRecipe:
+    """`sample_demands` returns a recipe: passes draw the scenarios block by
+    block, with results bit-identical to those on the whole matrix."""
+
+    @pytest.mark.parametrize("n", [1, 7, 128])
+    @pytest.mark.parametrize("rho_kind", ["lower", "0", "1"])
+    def test_estimates_equal_those_on_the_matrix(self, n, rho_kind):
+        rho = near_lower_rho(n) if rho_kind == "lower" else float(rho_kind)
+
+        def fresh():
+            return sample_demands(n, 100, 20, rho, 1201, seed=25)
+
+        read = fresh()
+        read.scenarios
+        wrapped = DemandMatrix(scenarios=fresh().scenarios.copy(), seed=25, rho_target=rho)
+        for x in (103.0, 80.0):
+            results = [repr((estimate_profit(x, samples, MEAN_GAME),
+                             estimate_transshipment(x, samples)))
+                       for samples in (fresh(), read, wrapped)]
+            assert results[0] == results[1] == results[2]
+
+    def test_passes_do_not_read_the_matrix(self, monkeypatch, tmp_path):
+        def unread(self):
+            pytest.fail("the scenarios were read whole")
+
+        samples = sample_demands(7, 100, 20, 0.3, 2001, seed=26)
+        expected = (estimate_profit(97.0, samples, MEAN_GAME), estimate_transshipment(97.0, samples))
+        monkeypatch.setattr(DemandMatrix, "scenarios", property(unread))
+        samples = sample_demands(7, 100, 20, 0.3, 2001, seed=26)
+        assert repr(samples) == ("DemandMatrix(n=7, count=2001, seed=26, rho_target=0.3, "
+                                 "rng_algorithm='numpy-philox4x64')")
+        for x in (97.0, 104.0, 97.0):
+            profit = estimate_profit(x, samples, MEAN_GAME)
+            moved = estimate_transshipment(x, samples)
+        assert (profit, moved) == expected
+        dump_scenarios(samples, tmp_path / "draws.csv")
+        assert samples._matrix is None
+
+    def test_memory_grows_with_count_not_with_the_matrix(self):
+        # sample_demands and both estimators at n = 128: five count-long arrays
+        # and a few blocks, where the matrix alone is 128 * 8 * count bytes.
+        count = 100_000
+        tracemalloc.start()
+        try:
+            samples = sample_demands(128, 100, 20, 0.3, count, seed=27)
+            estimate_profit(100.0, samples, MEAN_GAME)
+            estimate_transshipment(100.0, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * count + 4 * 8 * simulation._BLOCK_ELEMENTS
+
+    def test_reading_the_matrix_keeps_it(self):
+        samples = sample_demands(7, 100, 20, 0.3, 50, seed=28)
+        assert samples.scenarios is samples.scenarios
+        assert not samples.scenarios.flags.writeable
+
+    def test_is_immutable(self):
+        samples = sample_demands(7, 100, 20, 0.3, 50, seed=28)
+        with pytest.raises(AttributeError):
+            samples.seed = 3
+        with pytest.raises(AttributeError):
+            del samples.rho_target
+        assert samples.seed == 28 and samples.rho_target == 0.3
+
+
+class TestEstimatorOverflow:
+    """Totals or estimates that overflow raise a one-line ValueError, with no
+    numpy warning (warnings are errors under pytest)."""
+
+    @staticmethod
+    def fresh():
+        return sample_demands(7, 100, 20, 0.3, 2001, seed=24)
+
+    def test_profit_overflows_at_1e307(self):
+        # S_H = 7e307 is finite, but (r - nu) S_H is not
+        with pytest.raises(ValueError, match="estimate is not finite at quantity x = 1e\\+307"):
+            estimate_profit(1e307, self.fresh(), MEAN_GAME)
+
+    def test_transshipment_at_1e307_is_zero(self):
+        est = estimate_transshipment(1e307, self.fresh())
+        assert (est.mean, est.std_error) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("estimate", [mean_game_profit, estimate_transshipment])
+    @pytest.mark.parametrize("x", [1e308, -1e308])
+    def test_n_x_overflow(self, estimate, x):
+        with pytest.raises(ValueError, match="n \\* x overflows at quantity x = -?1e\\+308"):
+            estimate(x, self.fresh())
+
+    @pytest.mark.parametrize("estimate", [mean_game_profit, estimate_transshipment])
+    @pytest.mark.parametrize("entry", [-1e308, math.nan])
+    def test_totals_that_are_not_finite(self, estimate, entry):
+        # one agent, so n * x = 1e308 is finite while x - D overflows
+        samples = DemandMatrix(scenarios=np.full((3, 1), entry), seed=0, rho_target=0.0)
+        with pytest.raises(ValueError, match="totals are not finite at quantity x = 1e\\+308"):
+            estimate(1e308, samples)
+
+    @pytest.mark.parametrize("estimate", [mean_game_profit, estimate_transshipment])
+    def test_scenarios_that_overflow_in_the_draw(self, estimate):
+        # sigma * Z passes the float maximum for |Z| > 1.8, so some entries are infinite
+        samples = sample_demands(4, 0.0, 1e308, 0.3, 100, seed=1)
+        with pytest.raises(ValueError, match="totals are not finite at quantity x = 0.0"):
+            estimate(0.0, samples)
+
+    def test_standard_error_overflow(self):
+        # profits near 1e201 spread so far that their squared deviations overflow
+        samples = sample_demands(4, 0.0, 1e200, 0.3, 100, seed=1)
+        params = MarketParams(r=10, c=6, nu=2, t=2, mu=0.0, sigma=1e200, rho=0.3)
+        with pytest.raises(ValueError, match="estimate is not finite"):
+            estimate_profit(0.0, samples, params)
+
+
+class TestRecordedEstimates:
+    """Regression pins: McEstimate reprs and scenario digests recorded from the
+    sampler that drew the whole matrix in one call. Each entry is (n, mu,
+    sigma, rho kind, count, seed, xs, the first 32 hex digits of the sha256 of
+    the scenarios, and of the profit and transshipment reprs at each x)."""
+
+    CASES = [
+        (1, 100.0, 20.0, "0", 2, 3, (103.0, 91.5),
+         "c369db85217b62781050989123113699", "5de4f0a73e61133798240c8cf7087828"),
+        (2, 0.0, 20.0, "lower", 3001, 2**64 + 5, (0.0, -0.0, 12.5),
+         "ae47c310b8a695fa776e3dff858cc65e", "a1223c0e093dd9467576c10e951336dc"),
+        (7, -0.0, 5e-324, "0", 1500, 11, (-0.0, 0.0, 5e-324),
+         "9bcbc68ed62199f5688ae71b2e3d5ca7", "e86ee2284b9a5b3d26188278b156f7ef"),
+        (7, 100.0, 20.0, "0.4", 2001, 2**127, (91.5, 103.0, 91.5),
+         "fe76e4d97023ebef98267ee2323b2296", "f6e222099ad1a7cdfbafa7a9d5d9beee"),
+        (31, 100.0, 5e-324, "1", 700, 0, (100.0, 99.99999999999999),
+         "80d19166c59daec63c280ddd41223e47", "f44416584fa19b55df2dc0d15dcb196d"),
+        (31, -0.0, 20.0, "lower", 1000, 77, (-20.0, 0.0, 35.0),
+         "4cfc2edf1b179cb61719348a64fae47c", "690cae58b081c173ba771775788e5da5"),
+        (128, 0.0, 5e-324, "0.4", 257, 2**128 - 1, (0.0, -5e-324, 1e-323),
+         "41f2cf2f2e31885064e48676a19b6217", "cb23fb4d7072df952bd3c7c577e051fe"),
+        (128, 100.0, 20.0, "lower", 500, 41, (103.0, 60.0),
+         "53330e27570a5d9830cff27181cb4439", "1b8810170285dcb40383c214bcc60606"),
+        (128, 100.0, 20.0, "1", 300, 9, (140.0, 100.0, 140.0),
+         "e65a18896539706a82463a36f3d38b9d", "18a8b7424b3b8337d537d02070fd3fe0"),
+        (3, 100.0, 20.0, "lower", 4097, 123456789, (97.0, 130.0),
+         "a26345bcfae5b20774a17057f186302a", "7ff7805b2de3be874b81ef5198b6a081"),
+    ]
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: f"n{case[0]}-{case[3]}-{case[5]}")
+    def test_matches_recording(self, case, read_first):
+        n, mu, sigma, rho_kind, count, seed, xs, matrix_digest, estimates_digest = case
+        rho = near_lower_rho(n) if rho_kind == "lower" else float(rho_kind)
+        samples = sample_demands(n, mu, sigma, rho, count, seed)
+        if read_first:
+            samples.scenarios
+        reprs = []
+        for k, x in enumerate(xs):
+            # alternate which estimator makes the pass at each x
+            if k % 2 == 0:
+                profit = estimate_profit(x, samples, MEAN_GAME)
+                moved = estimate_transshipment(x, samples)
+            else:
+                moved = estimate_transshipment(x, samples)
+                profit = estimate_profit(x, samples, MEAN_GAME)
+            reprs += [repr(profit), repr(moved)]
+        digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+        assert digest[:32] == estimates_digest
+        assert hashlib.sha256(samples.scenarios.tobytes()).hexdigest()[:32] == matrix_digest
 
 
 class TestEstimateTransshipment:
