@@ -239,8 +239,6 @@ def _profit_at(y, n: int, L: float, econ: DerivedEconomics,
 def expected_profit(x: float, n: int, params: MarketParams) -> float:
     """Coalition expected profit J_n(x) for an arbitrary common quantity x."""
     econ = validate_params(params)
-    if n < 1:
-        raise ValueError(f"coalition size n must be >= 1, got {n}")
     L = pooling_factor(n, params.rho)
     y = (x - params.mu) / params.sigma
     if not math.isfinite(y):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -51,118 +52,143 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ELEMENTS // n)
 
 
-@dataclass(frozen=True)
-class _Recipe:
-    """What `sample_demands` draws: Philox keyed by `seed`, then per scenario
-    D = mu + scale * Z + weight * Zbar."""
-
-    n: int
-    count: int
-    mu: float
-    scale: float    # sigma * a
-    weight: float   # sigma * (b - a)
-    seed: int
-
-    def blocks(self, out: Optional[np.ndarray] = None):
-        """Yield (first row, block) over the scenarios, in order.
-
-        Each block is drawn and transformed in place: into its rows of `out`
-        when given, else into one reused buffer that the next step overwrites.
-        Philox's ziggurat normals use a variable number of counters, so the
-        blocks come in order from one generator, which reproduces the stream of
-        a single count x n draw bit for bit. Each row mean is taken over its
-        own row, so the result does not depend on the block size.
-        """
-        rows = _block_rows(self.n)
-        rng = np.random.Generator(np.random.Philox(key=self.seed))
-        buffer = np.empty((min(rows, self.count), self.n)) if out is None else None
-        for lo in range(0, self.count, rows):
-            size = min(rows, self.count - lo)
-            block = buffer[:size] if out is None else out[lo:lo + size]
-            rng.standard_normal(out=block)
-            if self.weight == 0.0 and self.mu != 0.0:
-                # The factor term weight * Zbar is a signed zero and mu + (+-0) = mu,
-                # so no row mean is needed. At mu = -0.0 the sign of a zero entry
-                # follows the sign of its row mean, so a zero mu takes the full form.
-                block *= self.scale
-                block += self.mu
-            else:
-                shift = block.mean(axis=1)
-                shift *= self.weight
-                shift += self.mu
-                block *= self.scale
-                block += shift[:, np.newaxis]
-            yield lo, block
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+@dataclass(frozen=True, eq=False, kw_only=True)
 class DemandMatrix:
     """Joint demand scenarios: `count` rows of draws, one column per agent.
 
-    `sample_demands` returns a recipe: it holds the sampler's arguments and
-    draws nothing when made. The estimators and `dump_scenarios` draw the
-    scenarios block by block, so they hold O(block + count) memory and never
-    the count x n matrix. Reading `scenarios` draws the whole matrix once and
-    keeps it, read-only; later passes then walk it instead of drawing again.
-    Every pass gives the same bits. `DemandMatrix(scenarios=array, seed=...,
-    rho_target=...)` wraps a caller's own (count, n) array as it is.
+    The fields are the sampler's arguments (see `sample_demands`, which
+    builds one), checked when the instance is made, so every instance is one
+    that `sample_demands` would return; `dataclasses.replace` checks them
+    again. Nothing is drawn when it is made. The estimators and
+    `dump_scenarios` draw the scenarios block by block, so they hold
+    O(block + count) memory and never the count x n matrix. Reading
+    `scenarios` draws the whole matrix once and keeps it, read-only; later
+    passes then walk it instead of drawing again. Every pass gives the same
+    bits, fixed by the seed.
 
-    A recipe holds the per-scenario totals of the last x the estimators
+    An instance holds the per-scenario totals of the last x the estimators
     reduced it at, so estimating the profit and the transshipment at one x
-    takes one pass, and a new x takes another. A wrapped array, which its owner
-    may still change, is reduced on every call. Setting
-    `scenarios.flags.writeable` back to True to edit a recipe's matrix would
-    leave those held totals stale; copy the array instead. Instances are
+    takes one pass, and a new x takes another. Setting
+    `scenarios.flags.writeable` back to True to edit the matrix would leave
+    those held totals stale; copy the array instead. Instances are
     immutable, and equal only to themselves.
     """
 
-    def __init__(self, scenarios: np.ndarray, seed: int, rho_target: float,
-                 rng_algorithm: str = RNG_ALGORITHM) -> None:
-        # _last_totals: (x.hex(), S_H, S_E) of the last x estimated on a recipe.
-        self.__dict__.update(_matrix=scenarios, _recipe=None, _last_totals=None, seed=seed,
-                             rho_target=rho_target, rng_algorithm=rng_algorithm)
+    n: int
+    count: int
+    seed: int
+    rho_target: float
+    mu: float = field(repr=False)
+    sigma: float = field(repr=False)
+    rng_algorithm: str = field(default=RNG_ALGORITHM, init=False)
+    # (x.hex(), S_H, S_E) of the last x the estimators reduced the scenarios at.
+    _last_totals: Optional[tuple] = field(default=None, init=False, repr=False)
 
-    @classmethod
-    def _from_recipe(cls, recipe: _Recipe, rho_target: float) -> "DemandMatrix":
-        samples = cls(None, recipe.seed, rho_target)
-        object.__setattr__(samples, "_recipe", recipe)
-        return samples
+    def __post_init__(self) -> None:
+        n, mu, sigma, rho = self.n, self.mu, self.sigma, self.rho_target
+        count, seed = self.count, self.seed
+        if not _is_integer(n) or n < 1:
+            raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+        for name, value in (("mu", mu), ("sigma", sigma)):
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
+        if sigma <= 0:
+            raise ParameterError(f"sigma = {sigma} <= 0")
+        if not _is_integer(count) or count < 1:
+            raise ParameterError(f"count must be an integer >= 1, got {count!r}")
+        if not -1.0 < rho <= 1.0:
+            raise ParameterError(f"rho = {rho} outside (-1, 1]")
+        if n >= 2 and rho <= -1.0 / (n - 1):
+            raise ParameterError(
+                f"rho = {rho} <= -1/(n-1) = {-1.0 / (n - 1)}: covariance not positive-definite"
+            )
+        if not (_is_integer(seed) and 0 <= seed < 2**128):
+            raise ParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+        n, count = int(n), int(count)
+        if count * n > _MAX_ENTRIES:
+            raise ParameterError(f"count * n = {count * n} entries exceed the largest "
+                                 f"array numpy can hold ({_MAX_ENTRIES})")
+        # numpy integers are recorded as int
+        for name, value in (("n", n), ("count", count), ("seed", int(seed))):
+            object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    def _draw(self, out: Optional[np.ndarray] = None):
+        """Yield (first row, block) over the scenarios, in order, in blocks of
+        about _BLOCK_ELEMENTS entries.
 
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        Per scenario D = mu + scale * Z + weight * Zbar, with Z drawn from
+        Philox keyed by the seed. Each block is drawn and transformed in place:
+        into its rows of `out` when given, else into one reused buffer that the
+        next step overwrites. Philox's ziggurat normals use a variable number
+        of counters, so the blocks come in order from one generator, which
+        reproduces the stream of a single count x n draw bit for bit. Each row
+        mean is taken over its own row, so the result does not depend on the
+        block size. Overflow gives inf entries silently, for the caller to
+        reject.
+        """
+        n, count, mu = self.n, self.count, self.mu
+        # A single agent has no pairwise correlation, so rho drops out (a = b = 1).
+        a = math.sqrt(1.0 - self.rho_target) if n > 1 else 1.0
+        b = math.sqrt(1.0 + (n - 1) * self.rho_target)
+        scale, weight = self.sigma * a, self.sigma * (b - a)
+        # The factor term weight * Zbar is a signed zero when weight = 0, and
+        # mu + (+-0) = mu, so no row mean is needed. At mu = -0.0 the sign of a
+        # zero entry follows the sign of its row mean, so a zero mu takes the
+        # full form.
+        factor = weight != 0.0 or mu == 0.0
+        rows = _block_rows(n)
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        buffer = np.empty((min(rows, count), n)) if out is None else None
+        for lo in range(0, count, rows):
+            size = min(rows, count - lo)
+            block = buffer[:size] if out is None else out[lo:lo + size]
+            rng.standard_normal(out=block)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if factor:
+                    shift = block.mean(axis=1)
+                    shift *= weight
+                    shift += mu
+                    block *= scale
+                    block += shift[:, np.newaxis]
+                else:
+                    block *= scale
+                    block += mu
+            yield lo, block
 
-    def __repr__(self) -> str:
-        return (f"DemandMatrix(n={self.n}, count={self.count}, seed={self.seed!r}, "
-                f"rho_target={self.rho_target!r}, rng_algorithm={self.rng_algorithm!r})")
+    def _finite(self, lo: int, block: np.ndarray) -> np.ndarray:
+        """`block`, whose first row is scenario `lo`; a non-finite entry raises
+        a one-line ValueError naming its scenario."""
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            row = lo + int(np.argmin(finite))
+            raise ValueError(f"scenario demands are not finite from row {row}: mu = {self.mu!r} "
+                             f"and sigma = {self.sigma!r} overflow the float range")
+        return block
 
-    @property
+    @cached_property
     def scenarios(self) -> np.ndarray:
-        """The (count, n) matrix; on a recipe the first read draws and keeps it."""
-        if self._matrix is None:
-            matrix = np.empty((self._recipe.count, self._recipe.n))
-            for _ in self._recipe.blocks(out=matrix):
-                pass
-            matrix.flags.writeable = False
-            object.__setattr__(self, "_matrix", matrix)
-        return self._matrix
+        """The (count, n) matrix, drawn on the first read, then kept read-only.
 
-    @property
-    def count(self) -> int:
-        return self._matrix.shape[0] if self._recipe is None else self._recipe.count
-
-    @property
-    def n(self) -> int:
-        return self._matrix.shape[1] if self._recipe is None else self._recipe.n
+        Entries that overflow raise ValueError.
+        """
+        matrix = np.empty((self.count, self.n))
+        for lo, block in self._draw(out=matrix):
+            self._finite(lo, block)
+        matrix.flags.writeable = False
+        return matrix
 
     def _blocks(self):
-        """(first row, block) over the scenarios: slices of the held matrix, or
-        on a recipe not yet read whole, fresh draws into one reused buffer."""
-        if self._matrix is None:
-            return self._recipe.blocks()
+        """(first row, block) over the scenarios: slices of `scenarios` once it
+        has been read, else fresh draws into one reused buffer."""
+        matrix = vars(self).get("scenarios")
+        if matrix is None:
+            return self._draw()
         rows = _block_rows(self.n)
-        return ((lo, self._matrix[lo:lo + rows]) for lo in range(0, self.count, rows))
+        return ((lo, matrix[lo:lo + rows]) for lo in range(0, self.count, rows))
 
 
 @dataclass(frozen=True)
@@ -174,10 +200,6 @@ class McEstimate:
     count: int
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def sample_demands(n: int, mu: float, sigma: float, rho: float,
                    count: int, seed: int) -> DemandMatrix:
     """`count` independent scenarios from the equicorrelated n-variate normal.
@@ -185,8 +207,9 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
     Mean mu * 1, covariance sigma^2 * [(1 - rho) I + rho 11^T]; requires
     integers n >= 1 and count >= 1, finite mu, finite sigma > 0,
     -1/(n-1) < rho <= 1 and an integer seed in [0, 2**128) (bools are not
-    integers here). Each violation raises a one-line ParameterError from this
-    call. Identical (seed, arguments) give bit-identical scenarios.
+    integers here), and a count x n that numpy can address. Each violation
+    raises a one-line ParameterError from this call. Identical (seed,
+    arguments) give bit-identical scenarios.
 
     Uses the one-factor representation of the equicorrelated normal (Tong,
     The Multivariate Normal Distribution, 1990, section 8.2): with Z the
@@ -199,43 +222,10 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
     valid range. It costs O(n) per scenario. At rho = 1 (a = 0) every column
     is bit-identical, and at rho = 0 (b - a = 0) or n = 1 the result is
     mu + sigma * Z, formed without the row means when mu != 0. The draws Z
-    come from Philox keyed by the seed, as before; correlated scenarios for a
-    given seed differ from those of the earlier Cholesky sampler, while
-    rho = 0 scenarios are unchanged.
-
-    Nothing is drawn here: the result is a recipe (see DemandMatrix). Each
-    pass draws Z in blocks of about _BLOCK_ELEMENTS entries, in order, and
-    applies the formula to each block in place, which gives the same bits as
-    one count x n draw. So every pass over an unread recipe draws afresh,
-    while reading `scenarios` once keeps the matrix, read-only.
+    come from Philox keyed by the seed. Nothing is drawn here: see
+    DemandMatrix.
     """
-    if not _is_integer(n) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    for name, value in (("mu", mu), ("sigma", sigma)):
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
-    if sigma <= 0:
-        raise ParameterError(f"sigma = {sigma} <= 0")
-    if not _is_integer(count) or count < 1:
-        raise ParameterError(f"count must be an integer >= 1, got {count!r}")
-    if not -1.0 < rho <= 1.0:
-        raise ParameterError(f"rho = {rho} outside (-1, 1]")
-    if n >= 2 and rho <= -1.0 / (n - 1):
-        raise ParameterError(
-            f"rho = {rho} <= -1/(n-1) = {-1.0 / (n - 1)}: covariance not positive-definite"
-        )
-    if not (_is_integer(seed) and 0 <= seed < 2**128):
-        raise ParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    n, count = int(n), int(count)
-    if count * n > _MAX_ENTRIES:
-        raise ParameterError(f"count * n = {count * n} entries exceed the largest "
-                             f"array numpy can hold ({_MAX_ENTRIES})")
-    # A single agent has no pairwise correlation, so rho drops out (a = b = 1).
-    a = math.sqrt(1.0 - rho) if n > 1 else 1.0
-    b = math.sqrt(1.0 + (n - 1) * rho)
-    recipe = _Recipe(n=n, count=count, mu=mu, scale=sigma * a, weight=sigma * (b - a),
-                     seed=int(seed))
-    return DemandMatrix._from_recipe(recipe, rho)
+    return DemandMatrix(n=n, count=count, seed=seed, rho_target=rho, mu=mu, sigma=sigma)
 
 
 def _surplus_shortage(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -264,14 +254,13 @@ def _surplus_shortage(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.n
 
 
 def _totals(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(S_H, S_E) at x, reduced once per x on a recipe.
+    """(S_H, S_E) at x, reduced once per x.
 
-    A recipe holds the totals of the last x it was reduced at, keyed by the
+    `samples` holds the totals of the last x it was reduced at, keyed by the
     exact double (a -0.0 is not a 0.0); its scenarios are fixed by its seed,
-    so the entry cannot go stale. A wrapped array, whose entries its owner
-    could still change, is reduced every time. The entry is replaced whole,
-    so concurrent callers at worst repeat a pass. A non-finite x, an n * x
-    that overflows, or totals that are not finite raise ValueError.
+    so the entry cannot go stale. The entry is replaced whole, so concurrent
+    callers at worst repeat a pass. A non-finite x, an n * x that overflows,
+    or totals that are not finite raise ValueError.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -285,9 +274,8 @@ def _totals(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
     surplus, shortage = _surplus_shortage(x, samples)
     if not (np.isfinite(surplus).all() and np.isfinite(shortage).all()):
         raise ValueError(f"surplus or shortage totals are not finite at quantity x = {x!r}")
-    if samples._recipe is not None:
-        surplus.flags.writeable = shortage.flags.writeable = False
-        object.__setattr__(samples, "_last_totals", (key, surplus, shortage))
+    surplus.flags.writeable = shortage.flags.writeable = False
+    object.__setattr__(samples, "_last_totals", (key, surplus, shortage))
     return surplus, shortage
 
 
@@ -424,12 +412,14 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
 def dump_scenarios(samples: DemandMatrix, path: Union[str, Path]) -> None:
     """Write scenarios to CSV (scenario_id, D_1..D_n) at full precision.
 
-    Rows are written block by block, so an unread recipe is drawn as it is
-    written and never held whole.
+    Rows are written block by block, so scenarios that were never read are
+    drawn as they are written and never held whole. A block with a
+    non-finite entry raises ValueError, and the file then holds the rows
+    before it.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["scenario_id"] + [f"D_{j + 1}" for j in range(samples.n)])
         for lo, block in samples._blocks():
             writer.writerows([lo + i] + [repr(d) for d in row]
-                             for i, row in enumerate(block.tolist()))
+                             for i, row in enumerate(samples._finite(lo, block).tolist()))

@@ -239,6 +239,11 @@ class TestExpectedProfit:
         with pytest.raises(ValueError):
             expected_profit(math.nan, 1, MEAN_GAME)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_empty_coalition(self, n):
+        with pytest.raises(ParameterError, match=f"^coalition size n must be >= 1, got {n}$"):
+            expected_profit(100.0, n, MEAN_GAME)
+
 
 class TestEqualAllocation:
     def test_mean_game_value(self):

@@ -251,6 +251,18 @@ class TestSimulate:
         assert rows[0] == ["scenario_id", "D_1", "D_2", "D_3"]
         assert len(rows) == 51
 
+    def test_scenarios_that_overflow_exit_with_one_line(self, tmp_path, capsys):
+        # sigma * Z passes the float maximum for |Z| > 1.8: the dump stops at
+        # the first block with an infinite demand instead of writing inf
+        args = [{"100": "0", "20": "1e308"}.get(a, a) for a in MEAN_ARGS]
+        path = tmp_path / "draws.csv"
+        code, text = run_cli(["simulate", *args, "--n", "4", "--count", "100",
+                              "--dump-scenarios", str(path)])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == ("error: scenario demands are not finite from row 10: "
+                                           "mu = 0.0 and sigma = 1e+308 overflow the float range\n")
+        assert "inf" not in path.read_text()
+
 
 class TestCoreCheck:
     def test_matches_library(self):

@@ -80,13 +80,14 @@ print(json.dumps({"steps": steps, "codes": codes, "listed": listed, "exposed": e
 """
 
 
-def run_fresh(code, *args):
+def run_fresh(code, *args, returncode=0):
+    """Run `code` in a fresh interpreter in which every warning is an error."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == returncode, done.stderr
+    return done
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +103,9 @@ def fresh_interpreter(tmp_path_factory):
         ("recourse", ["recourse", "--surplus-file", str(tmp / "ss.csv"),
                       "--profit-file", str(tmp / "p.csv")]),
     ]
-    out = run_fresh(FRESH_INTERPRETER, json.dumps(commands), json.dumps(SIMULATION_NAMES),
-                    json.dumps(SIMULATE_ARGS))
-    return json.loads(out)
+    done = run_fresh(FRESH_INTERPRETER, json.dumps(commands), json.dumps(SIMULATION_NAMES),
+                     json.dumps(SIMULATE_ARGS))
+    return json.loads(done.stdout)
 
 
 def test_scalar_commands_leave_numpy_unloaded(fresh_interpreter):
@@ -128,11 +129,25 @@ def test_simulate_output_unchanged(fresh_interpreter):
     assert fresh_interpreter["simulate"] == SIMULATE_TEXT
 
 
+RUN_CLI = "import sys, transship.cli; sys.exit(transship.cli.main(sys.argv[1:]))"
+
+
 def test_simulate_dump_unchanged(tmp_path):
     path = tmp_path / "draws.csv"
-    run_fresh("import sys, transship.cli; sys.exit(transship.cli.main(sys.argv[1:]))",
-              *SIMULATE_ARGS, "--dump-scenarios", str(path))
+    run_fresh(RUN_CLI, *SIMULATE_ARGS, "--dump-scenarios", str(path))
     assert path.read_bytes() == SIMULATE_DUMP
+
+
+def test_simulate_overflow_is_one_error_line(tmp_path):
+    # Demands past the float maximum: a numpy RuntimeWarning that escapes the
+    # CLI would be a traceback here, since warnings are errors.
+    argv = [*SIMULATE_ARGS[:SIMULATE_ARGS.index("--n")], "--n", "4", "--count", "100",
+            "--dump-scenarios", str(tmp_path / "draws.csv")]
+    argv[argv.index("--mu") + 1], argv[argv.index("--sigma") + 1] = "0", "1e308"
+    done = run_fresh(RUN_CLI, *argv, returncode=1)
+    assert done.stdout == ""
+    assert done.stderr == ("error: scenario demands are not finite from row 3: "
+                           "mu = 0.0 and sigma = 1e+308 overflow the float range\n")
 
 
 def test_simulate_does_not_hold_the_scenario_matrix():
@@ -146,7 +161,7 @@ peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
 """
     market = SIMULATE_ARGS[:SIMULATE_ARGS.index("--n")]
-    peak_mib = float(run_fresh(code, *market, "--n", "128", "--count", "100000"))
+    peak_mib = float(run_fresh(code, *market, "--n", "128", "--count", "100000").stdout)
     assert peak_mib < 80.0
 
 

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -93,6 +95,11 @@ def count_kernel_calls(monkeypatch):
     return calls
 
 
+def construct(n, mu, sigma, rho, count, seed):
+    """DemandMatrix built directly, with the arguments of sample_demands."""
+    return DemandMatrix(n=n, count=count, seed=seed, rho_target=rho, mu=mu, sigma=sigma)
+
+
 def mean_game_profit(x, samples):
     return estimate_profit(x, samples, MEAN_GAME)
 
@@ -102,7 +109,64 @@ def deep_tail_market(fractile, rho):
     return MarketParams(r=10, c=10 - 8 * fractile, nu=2, t=1, mu=100, sigma=20, rho=rho)
 
 
-class TestSampleDemands:
+class ArgumentChecks:
+    """The argument checks shared by both ways to build a DemandMatrix; a
+    subclass names the way in `build`, with the arguments of sample_demands."""
+
+    build = None
+
+    @pytest.mark.parametrize("seed", [None, 1.5, 7.0, True, False, -1, 2**128, "7",
+                                      np.float64(3.0), np.bool_(True)])
+    def test_rejects_a_seed_that_is_not_an_integer_in_range(self, seed):
+        with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+            self.build(4, 100, 20, 0.3, 10, seed=seed)
+
+    @pytest.mark.parametrize("name,value", [("n", 2.0), ("n", True), ("n", np.float64(4.0)),
+                                            ("count", 10.0), ("count", True), ("count", "10")])
+    def test_rejects_non_integer_sizes(self, name, value):
+        kwargs = dict(n=4, mu=100, sigma=20, rho=0.3, count=10, seed=0)
+        kwargs[name] = value
+        with pytest.raises(ParameterError, match=f"{name} must be an integer >= 1"):
+            self.build(**kwargs)
+
+    def test_accepts_numpy_integers_and_the_largest_seed(self):
+        expected = sample_demands(7, 100, 20, 0.4, 301, seed=41).scenarios
+        samples = self.build(np.int64(7), 100, 20, 0.4, np.uint32(301), seed=np.uint64(41))
+        assert (samples.n, samples.count, samples.seed) == (7, 301, 41)
+        assert type(samples.n) is type(samples.count) is type(samples.seed) is int
+        assert samples.scenarios.tobytes() == expected.tobytes()
+        top = sample_demands(3, 100, 20, 0.0, 5, seed=2**128 - 1).scenarios
+        z = np.random.Generator(np.random.Philox(key=2**128 - 1)).standard_normal((5, 3))
+        assert top.tobytes() == (100 + 20 * z).tobytes()
+
+    def test_rejects_more_entries_than_an_array_can_hold(self):
+        # The matrix is never drawn here, so the size is checked at the call.
+        with pytest.raises(ParameterError, match="entries exceed the largest array"):
+            self.build(2**40, 100, 20, 0.0, 2**40, seed=0)
+
+    @pytest.mark.parametrize(
+        "kwargs,fragment",
+        [
+            (dict(n=4, mu=100, sigma=20, rho=-0.5, count=10, seed=0), "positive-definite"),
+            (dict(n=4, mu=100, sigma=20, rho=1.2, count=10, seed=0), "outside"),
+            (dict(n=4, mu=100, sigma=0.0, rho=0.0, count=10, seed=0), "sigma"),
+            (dict(n=4, mu=100, sigma=20, rho=0.0, count=0, seed=0), "count"),
+            (dict(n=0, mu=100, sigma=20, rho=0.0, count=10, seed=0), "n must be"),
+            (dict(n=4, mu=math.nan, sigma=20, rho=0.0, count=10, seed=0), "mu must be finite"),
+            (dict(n=4, mu=math.inf, sigma=20, rho=0.0, count=10, seed=0), "mu must be finite"),
+            (dict(n=4, mu=100, sigma=math.nan, rho=0.0, count=10, seed=0), "sigma must be finite"),
+            (dict(n=4, mu=100, sigma=math.inf, rho=0.0, count=10, seed=0), "sigma must be finite"),
+            (dict(n=4, mu=100, sigma=20, rho=math.nan, count=10, seed=0), "outside"),
+        ],
+    )
+    def test_domain_errors(self, kwargs, fragment):
+        with pytest.raises(ParameterError, match=fragment):
+            self.build(**kwargs)
+
+
+class TestSampleDemands(ArgumentChecks):
+    build = staticmethod(sample_demands)
+
     def test_reproducible(self):
         a = sample_demands(4, 100, 20, 0.3, 500, seed=99)
         b = sample_demands(4, 100, 20, 0.3, 500, seed=99)
@@ -173,35 +237,6 @@ class TestSampleDemands:
         read = hashlib.sha256(samples.scenarios.tobytes())
         assert streamed.hexdigest() == read.hexdigest() == self.STREAM_DIGESTS[n, rho_kind]
 
-    @pytest.mark.parametrize("seed", [None, 1.5, 7.0, True, False, -1, 2**128, "7",
-                                      np.float64(3.0), np.bool_(True)])
-    def test_rejects_a_seed_that_is_not_an_integer_in_range(self, seed):
-        with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
-            sample_demands(4, 100, 20, 0.3, 10, seed=seed)
-
-    @pytest.mark.parametrize("name,value", [("n", 2.0), ("n", True), ("n", np.float64(4.0)),
-                                            ("count", 10.0), ("count", True), ("count", "10")])
-    def test_rejects_non_integer_sizes(self, name, value):
-        kwargs = dict(n=4, mu=100, sigma=20, rho=0.3, count=10, seed=0)
-        kwargs[name] = value
-        with pytest.raises(ParameterError, match=f"{name} must be an integer >= 1"):
-            sample_demands(**kwargs)
-
-    def test_accepts_numpy_integers_and_the_largest_seed(self):
-        expected = sample_demands(7, 100, 20, 0.4, 301, seed=41).scenarios
-        samples = sample_demands(np.int64(7), 100, 20, 0.4, np.uint32(301), seed=np.uint64(41))
-        assert (samples.n, samples.count, samples.seed) == (7, 301, 41)
-        assert type(samples.n) is type(samples.count) is type(samples.seed) is int
-        assert samples.scenarios.tobytes() == expected.tobytes()
-        top = sample_demands(3, 100, 20, 0.0, 5, seed=2**128 - 1).scenarios
-        z = np.random.Generator(np.random.Philox(key=2**128 - 1)).standard_normal((5, 3))
-        assert top.tobytes() == (100 + 20 * z).tobytes()
-
-    def test_rejects_more_entries_than_an_array_can_hold(self):
-        # The matrix is never drawn here, so the size is checked at the call.
-        with pytest.raises(ParameterError, match="entries exceed the largest array"):
-            sample_demands(2**40, 100, 20, 0.0, 2**40, seed=0)
-
     def test_zero_factor_weight_keeps_the_signs_of_zeros(self):
         # At rho = 0 the factor term is a signed zero. With mu = -0.0 and a
         # subnormal sigma most entries are zeros whose sign follows the row mean.
@@ -249,24 +284,35 @@ class TestSampleDemands:
         off_diag = corr[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off_diag - 0.6) <= 0.02)
 
-    @pytest.mark.parametrize(
-        "kwargs,fragment",
-        [
-            (dict(n=4, mu=100, sigma=20, rho=-0.5, count=10, seed=0), "positive-definite"),
-            (dict(n=4, mu=100, sigma=20, rho=1.2, count=10, seed=0), "outside"),
-            (dict(n=4, mu=100, sigma=0.0, rho=0.0, count=10, seed=0), "sigma"),
-            (dict(n=4, mu=100, sigma=20, rho=0.0, count=0, seed=0), "count"),
-            (dict(n=0, mu=100, sigma=20, rho=0.0, count=10, seed=0), "n must be"),
-            (dict(n=4, mu=math.nan, sigma=20, rho=0.0, count=10, seed=0), "mu must be finite"),
-            (dict(n=4, mu=math.inf, sigma=20, rho=0.0, count=10, seed=0), "mu must be finite"),
-            (dict(n=4, mu=100, sigma=math.nan, rho=0.0, count=10, seed=0), "sigma must be finite"),
-            (dict(n=4, mu=100, sigma=math.inf, rho=0.0, count=10, seed=0), "sigma must be finite"),
-            (dict(n=4, mu=100, sigma=20, rho=math.nan, count=10, seed=0), "outside"),
-        ],
-    )
-    def test_domain_errors(self, kwargs, fragment):
+class TestDemandMatrixConstructor(ArgumentChecks):
+    """DemandMatrix checks its own fields, so no instance exists that
+    sample_demands, which only builds one, would refuse."""
+
+    build = staticmethod(construct)
+
+    @pytest.mark.parametrize("field,value,fragment", [
+        ("seed", -1, r"seed must be an integer in \[0, 2\*\*128\)"),
+        ("n", 2.0, "n must be an integer >= 1"),
+        ("rho_target", 1.2, "outside"),
+        ("sigma", 0.0, "sigma"),
+    ])
+    def test_replace_checks_the_new_fields(self, field, value, fragment):
+        samples = sample_demands(4, 100, 20, 0.3, 10, seed=0)
         with pytest.raises(ParameterError, match=fragment):
-            sample_demands(**kwargs)
+            dataclasses.replace(samples, **{field: value})
+
+    def test_constructor_takes_the_sampler_arguments(self):
+        samples = construct(7, 100.0, 20.0, 0.3, 2001, seed=26)
+        assert repr(samples) == repr(sample_demands(7, 100.0, 20.0, 0.3, 2001, seed=26)) == (
+            "DemandMatrix(n=7, count=2001, seed=26, rho_target=0.3, "
+            "rng_algorithm='numpy-philox4x64')")
+        assert samples.scenarios.tobytes() == \
+            sample_demands(7, 100.0, 20.0, 0.3, 2001, seed=26).scenarios.tobytes()
+        with pytest.raises(TypeError):
+            DemandMatrix(7, 2001, 26, 0.3, 100.0, 20.0)
+        with pytest.raises(TypeError):
+            DemandMatrix(n=7, count=2001, seed=26, rho_target=0.3, mu=100.0, sigma=20.0,
+                         rng_algorithm=RNG_ALGORITHM)
 
 
 class TestEstimateProfit:
@@ -399,36 +445,12 @@ class TestSharedTotals:
         surplus, shortage = simulation._totals(100.0, samples)
         assert not surplus.flags.writeable and not shortage.flags.writeable
 
-    def test_writable_matrix_is_reduced_on_every_call(self):
-        scenarios = self.fresh().scenarios.copy()
-        samples = DemandMatrix(scenarios=scenarios, seed=24, rho_target=0.3)
-        before = estimate_transshipment(100.0, samples)
-        scenarios[:, 0] += 50.0
-        after = (estimate_profit(100.0, samples, MEAN_GAME),
-                 estimate_transshipment(100.0, samples))
-        assert after[1] != before
-        copy = DemandMatrix(scenarios=scenarios.copy(), seed=24, rho_target=0.3)
-        assert after == (estimate_profit(100.0, copy, MEAN_GAME),
-                         estimate_transshipment(100.0, copy))
-
-    def test_read_only_view_of_a_writable_array_is_reduced_on_every_call(self):
-        scenarios = self.fresh().scenarios.copy()
-        view = scenarios.view()
-        view.flags.writeable = False
-        samples = DemandMatrix(scenarios=view, seed=24, rho_target=0.3)
-        before = estimate_transshipment(100.0, samples)
-        scenarios[:, 0] += 50.0
-        after = estimate_transshipment(100.0, samples)
-        assert after != before
-        copy = DemandMatrix(scenarios=scenarios.copy(), seed=24, rho_target=0.3)
-        assert after == estimate_transshipment(100.0, copy)
-
     def test_repr_and_fields_leave_out_the_held_totals(self):
         samples = self.fresh()
         estimate_transshipment(100.0, samples)
         assert "_last_totals" not in repr(samples)
         with pytest.raises(TypeError):
-            DemandMatrix(scenarios=samples.scenarios, seed=24, rho_target=0.3,
+            DemandMatrix(n=7, count=2001, seed=24, rho_target=0.3, mu=100, sigma=20,
                          _last_totals=None)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -454,13 +476,17 @@ class TestStreamedRecipe:
             return sample_demands(n, 100, 20, rho, 1201, seed=25)
 
         read = fresh()
-        read.scenarios
-        wrapped = DemandMatrix(scenarios=fresh().scenarios.copy(), seed=25, rho_target=rho)
+        scenarios = read.scenarios
         for x in (103.0, 80.0):
-            results = [repr((estimate_profit(x, samples, MEAN_GAME),
-                             estimate_transshipment(x, samples)))
-                       for samples in (fresh(), read, wrapped)]
-            assert results[0] == results[1] == results[2]
+            results = [(estimate_profit(x, samples, MEAN_GAME), estimate_transshipment(x, samples))
+                       for samples in (fresh(), read)]
+            assert repr(results[0]) == repr(results[1])
+            references = (reference_profits(x, scenarios, MEAN_GAME),
+                          reference_transshipments(x, scenarios))
+            for est, values in zip(results[0], references):
+                mean, std_error = reference_estimate(values)
+                assert est.mean == pytest.approx(mean, rel=1e-12)
+                assert est.std_error == pytest.approx(std_error, rel=1e-12)
 
     def test_passes_do_not_read_the_matrix(self, monkeypatch, tmp_path):
         def unread(self):
@@ -477,7 +503,7 @@ class TestStreamedRecipe:
             moved = estimate_transshipment(x, samples)
         assert (profit, moved) == expected
         dump_scenarios(samples, tmp_path / "draws.csv")
-        assert samples._matrix is None
+        assert "scenarios" not in vars(samples)
 
     def test_memory_grows_with_count_not_with_the_matrix(self):
         # sample_demands and both estimators at n = 128: five count-long arrays
@@ -533,10 +559,21 @@ class TestEstimatorOverflow:
     @pytest.mark.parametrize("estimate", [mean_game_profit, estimate_transshipment])
     @pytest.mark.parametrize("entry", [-1e308, math.nan])
     def test_totals_that_are_not_finite(self, estimate, entry):
-        # one agent, so n * x = 1e308 is finite while x - D overflows
-        samples = DemandMatrix(scenarios=np.full((3, 1), entry), seed=0, rho_target=0.0)
-        with pytest.raises(ValueError, match="totals are not finite at quantity x = 1e\\+308"):
-            estimate(1e308, samples)
+        if math.isnan(entry):
+            # Near rho = -1 the factor weight is about -sqrt(2) sigma: in the
+            # last scenario sigma * a * Z overflows to +inf and weight * Zbar
+            # to -inf, so the second demand is nan.
+            samples, x = sample_demands(2, 0.0, 1e308, near_lower_rho(2), 4, seed=0), 0.0
+            assert np.isnan(next(samples._draw())[1][3, 1])
+        else:
+            # One agent, so n * x = 1e308 is finite. The draws are finite too,
+            # but x - D overflows at the lowest, -1.77e308.
+            samples, x = sample_demands(1, 0.0, 1e308, 0.0, 3, seed=0), 1e308
+            drawn = next(samples._draw())[1]
+            assert np.isfinite(drawn).all() and drawn.min() < entry
+        message = f"totals are not finite at quantity x = {x!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate(x, samples)
 
     @pytest.mark.parametrize("estimate", [mean_game_profit, estimate_transshipment])
     def test_scenarios_that_overflow_in_the_draw(self, estimate):
@@ -544,6 +581,47 @@ class TestEstimatorOverflow:
         samples = sample_demands(4, 0.0, 1e308, 0.3, 100, seed=1)
         with pytest.raises(ValueError, match="totals are not finite at quantity x = 0.0"):
             estimate(0.0, samples)
+
+    def test_reading_scenarios_that_overflow(self):
+        samples = sample_demands(4, 0.0, 1e308, 0.3, 100, seed=1)
+        z = np.random.Generator(np.random.Philox(key=1)).standard_normal((100, 4))
+        a, b = math.sqrt(0.7), math.sqrt(1.0 + 3 * 0.3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            demands = 1e308 * (a * z + (b - a) * z.mean(axis=1)[:, np.newaxis])
+        first = int(np.argmin(np.isfinite(demands).all(axis=1)))
+        assert first == 4
+        with pytest.raises(ValueError, match=r"^scenario demands are not finite from row 4: "
+                                             r"mu = 0.0 and sigma = 1e\+308 overflow"):
+            samples.scenarios
+        assert "scenarios" not in vars(samples)
+
+    def test_dumping_scenarios_that_overflow(self, tmp_path):
+        samples = sample_demands(4, 0.0, 1e308, 0.3, 100, seed=1)
+        path = tmp_path / "draws.csv"
+        with pytest.raises(ValueError, match="scenario demands are not finite from row 4"):
+            dump_scenarios(samples, path)
+        # the 100 scenarios are one block, so no row is written
+        assert path.read_bytes() == b"scenario_id,D_1,D_2,D_3,D_4\r\n"
+
+    def test_a_later_block_that_overflows(self, monkeypatch, tmp_path):
+        # one row per block: the error names the first row that is not finite
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", 1)
+        samples = sample_demands(1, 0.0, 1e308, 0.0, 40, seed=3)
+        z = np.random.Generator(np.random.Philox(key=3)).standard_normal(40)
+        with np.errstate(over="ignore"):
+            first = int(np.argmax(~np.isfinite(1e308 * z)))
+        assert first > 0
+        with pytest.raises(ValueError, match=f"not finite from row {first}:"):
+            samples.scenarios
+        path = tmp_path / "draws.csv"
+        with pytest.raises(ValueError, match=f"not finite from row {first}:"):
+            dump_scenarios(samples, path)
+        assert len(path.read_text().splitlines()) == 1 + first
+
+    def test_draw_leaves_the_error_state_alone(self):
+        before = np.geterr()
+        for _ in sample_demands(4, 0.0, 1e308, 0.3, 100, seed=1)._draw():
+            assert np.geterr() == before
 
     def test_standard_error_overflow(self):
         # profits near 1e201 spread so far that their squared deviations overflow
