@@ -1,6 +1,9 @@
+import contextlib
 import csv
 import io
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,3 +372,82 @@ class TestConfigFile:
         code, _ = run_cli(["solve", "--r", "10", "--c", "6", "--n", "1"])
         assert code != 0
         assert "missing parameter" in capsys.readouterr().err
+
+
+# The golden cases: every subcommand in every format, each --help and one
+# validation error per subcommand. Their exact stdout, stderr and exit codes
+# are in cli_golden.json, recorded from the CLI before its subcommands shared
+# one argument and one output path; a change that moves a byte says why.
+MARKET = ["--r", "10", "--c", "8", "--nu", "2", "--t", "1",
+          "--mu", "100", "--sigma", "20", "--rho", "0.3"]
+MARKET_RHO0 = [*MARKET[:-1], "0"]
+GOLDEN_FILES = {
+    "market.cfg": "r=10\nc=8\nnu=2\nt=1\nmu=100\nsigma=20\nrho=0.3\n",
+    "surplus.csv": "agent,H,E\n1,1.5,0\n2,1,0\n3,0,1\n4,0,2\n",
+    "profit.csv": "0,0,10,9\n0,0,8,1\n0,0,0,0\n0,0,0,0\n",
+    "bad_header.csv": "a,b,c\n1,1,0\n",
+}
+RECOURSE = ["recourse", "--surplus-file", "surplus.csv", "--profit-file", "profit.csv"]
+GOLDEN_COMMANDS = {
+    "solve": ["solve", *MARKET, "--n", "5"],
+    "solve-config": ["solve", "--config", "market.cfg", "--t", "1.5", "--n", "3"],
+    "sweep-t": ["sweep", "--over", "t", "--from", "0", "--to", "7.5", "--steps", "4",
+                *UNDER_ARGS, "--n", "3"],
+    "sweep-n-rho0": ["sweep", "--over", "n", "--from", "1", "--to", "4", *MARKET_RHO0],
+    "sweep-n-rho": ["sweep", "--over", "n", "--from", "2", "--to", "5", *MARKET],
+    "limits": ["limits", *UNDER_ARGS, "--t", "6"],
+    "simulate": ["simulate", *MARKET, "--n", "3", "--count", "200", "--seed", "7"],
+    "core-check": ["core-check", *MARKET_RHO0, "--n", "6"],
+    "recourse": RECOURSE,
+}
+GOLDEN_CASES = {
+    **{f"{name}-{fmt}": [*argv, "--format", fmt]
+       for name, argv in GOLDEN_COMMANDS.items() for fmt in ("table", "csv", "json")},
+    "solve-default-format": GOLDEN_COMMANDS["solve"],
+    **{f"help-{name}": [name, "--help"] for name in
+       ("solve", "sweep", "limits", "simulate", "core-check", "recourse")},
+    "help": ["--help"],
+    "no-command": [],
+    "error-solve": ["solve", *[{"8": "12"}.get(a, a) for a in MARKET], "--n", "2"],
+    "error-solve-missing-param": ["solve", "--r", "10", "--c", "6", "--n", "1"],
+    "error-solve-bad-format": ["solve", *MARKET, "--n", "2", "--format", "xml"],
+    "error-solve-bad-config": ["solve", "--config", "surplus.csv", "--n", "2"],
+    "error-sweep": ["sweep", "--over", "n", "--from", "1.5", "--to", "4", *MARKET],
+    "error-limits": ["limits", *MARKET],
+    "error-simulate": ["simulate", *MARKET, "--n", "3", "--count", "0"],
+    "error-core-check": ["core-check", *MARKET, "--n", "4", "--tolerance", "-1"],
+    "error-recourse": ["recourse", "--surplus-file", "bad_header.csv",
+                       "--profit-file", "profit.csv"],
+}
+# Texts argparse writes itself, in Python 3.11's wording; other versions
+# word and wrap them differently.
+ARGPARSE_CASES = {case for case in GOLDEN_CASES if case.startswith("help")} | {
+    "no-command", "error-solve-bad-format"}
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+def run_golden(argv):
+    """(exit code, stdout, stderr) of the CLI as a user runs it, in the
+    current directory, with argparse's help formatted for 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and argparse's own errors
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def test_golden_cases_are_recorded():
+    assert sorted(GOLDEN) == sorted(GOLDEN_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(case, tmp_path, monkeypatch):
+    if case in ARGPARSE_CASES and sys.version_info[:2] != (3, 11):
+        pytest.skip("argparse's help and usage text differ between Python versions")
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_golden(GOLDEN_CASES[case]) == GOLDEN[case]
