@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .game_model import (
     DerivedEconomics,
@@ -193,28 +194,40 @@ def _transshipment(y: float, n: int, L: float, sigma: float) -> float:
 def _build_result(n: int, q: float, econ: DerivedEconomics, params: MarketParams) -> SolveResult:
     L = pooling_factor(n, params.rho)
     y = _solve_y(econ, q, L)
+    x = params.mu + params.sigma * y
     allocation = _per_agent_profit(y, L, econ, params)
+    profit, moved = n * allocation, _transshipment(y, n, L, params.sigma)
+    if not (math.isfinite(x) and math.isfinite(profit) and math.isfinite(moved)):
+        raise ParameterError(f"the solution at n = {n:.6g} overflows the float range: "
+                             f"x_opt = {x!r}, profit = {profit!r}, transshipment = {moved!r}")
     return SolveResult(
         n=n,
         y_opt=y,
-        x_opt=params.mu + params.sigma * y,
-        profit=n * allocation,
+        x_opt=x,
+        profit=profit,
         allocation=allocation,
-        transshipment=_transshipment(y, n, L, params.sigma),
+        transshipment=moved,
         residual=abs(_condition(y, L, econ.gamma, econ.gamma_tilde, econ.R)),
         no_shortage_prob=std_cdf(y),
     )
 
 
-def _solve_sizes(params: MarketParams, sizes: range) -> tuple[DerivedEconomics, list[SolveResult]]:
-    """Validate the market once and solve each size in sizes: the loop behind every SolveResult."""
+def _solve_sizes(params: MarketParams,
+                 sizes: range) -> tuple[DerivedEconomics, Iterator[SolveResult]]:
+    """Validate the market once, then solve each size in sizes as it is drawn:
+    the loop behind every SolveResult.
+
+    Every check that does not need a solve runs here, before the first result:
+    the market, the size cap, the rho domain at the largest size and
+    Phi^-1(R). A result that overflows the float range raises when it is drawn.
+    """
     econ = validate_params(params)
     count = sizes.stop - sizes.start  # len() overflows past 2**63 sizes
     if count > _MAX_SIZES:
         raise ParameterError(f"{count} coalition sizes requested; at most {_MAX_SIZES} per call")
     pooling_factor(sizes.stop - 1, params.rho)  # n >= 1, rho > -1/(n-1): fail before any solve
     q = _fractile_quantile(econ)
-    return econ, [_build_result(n, q, econ, params) for n in sizes]
+    return econ, (_build_result(n, q, econ, params) for n in sizes)
 
 
 def solve_optimal_quantity(n: int, params: MarketParams) -> SolveResult:
@@ -312,9 +325,9 @@ def limit_analysis(params: MarketParams) -> LimitResult:
 def finite_rho_limit_diagnostic(params: MarketParams) -> float:
     """Numerical fixed point of R = gamma*Phi(y) + gamma_tilde*Phi(y/sqrt(rho)).
 
-    For rho > 0 the pooling factor converges to 1/sqrt(rho), so this is the
-    candidate limit of Y_n. Offered purely as a diagnostic; no convergence
-    claim is attached to it.
+    For 0 < rho <= 1 the pooling factor L_n is nondecreasing in n with limit
+    1/sqrt(rho), and Y is continuous in L, so Y_n converges to this value;
+    test_finite_rho_diagnostic_is_the_large_n_attractor checks it at n = 10^5.
     """
     econ = validate_params(params)
     if not 0.0 < params.rho <= 1.0:
@@ -327,6 +340,7 @@ def finite_rho_limit_diagnostic(params: MarketParams) -> float:
 def quantity_sequence(params: MarketParams, n_max: int) -> tuple[list[SolveResult], SequenceReport]:
     """Solve for n = 1..n_max and report the monotonicity of {Y_n} and {L_n Y_n}."""
     econ, results = _solve_sizes(params, range(1, n_max + 1))
+    results = list(results)
     game_type = classify_game(econ)
     # One rule on s = sign(R - 1/2): s*Y_n falls and stays positive, s*L_n*Y_n rises.
     # A mean game has s = 0, so its Y_n count as 0 and every comparison is equal.

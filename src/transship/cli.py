@@ -5,6 +5,12 @@ size (plot-ready CSV), print the large-coalition limit, validate closed forms
 against Monte Carlo, check the equal-allocation core, and solve a
 transshipment plan from CSV inputs. Numeric output uses shortest round-trip
 float formatting so files re-parse bit-exactly.
+
+Every subcommand but `recourse` reads the market from one shared parser, and
+every one takes --format. Rows of results go out through one writer: one
+JSON object per row, or a CSV header and one line per row; `table` prints a
+single result as aligned name/value pairs, and `sweep` writes CSV for it.
+`sweep --over n` writes each row as it is solved.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
-from typing import Optional, Sequence
+from dataclasses import asdict, replace
+from typing import Iterable, Optional, Sequence
 
 from . import analytic_solver, core_analysis
 from .game_model import PARAM_KEYS, MarketParams, ParameterError, load_params, params_from_mapping
@@ -29,19 +35,11 @@ SWEEP_HEADER = ("x", "Y_n", "Phi_Y_n", "J_dot_n", "beta_n", "omega_n", "Y_inf")
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _add_param_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value file supplying r,c,nu,t,mu,sigma,rho")
-    for key in PARAM_KEYS:
-        parser.add_argument(f"--{key}", type=float, default=None)
-
-
-def _add_format_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
 
 def _resolve_params(args: argparse.Namespace, defaults: Optional[dict] = None) -> MarketParams:
@@ -56,45 +54,37 @@ def _resolve_params(args: argparse.Namespace, defaults: Optional[dict] = None) -
     return params_from_mapping(values)
 
 
-def _print_pairs(pairs, out) -> None:
-    width = max(len(name) for name, _ in pairs)
-    for name, value in pairs:
-        print(f"{name:<{width}}  {_fmt(value)}", file=out)
-
-
-def _emit_record(pairs, fmt: str, out) -> None:
+def _emit_rows(names: Sequence[str], rows: Iterable[Sequence], fmt: str, out) -> None:
+    """Write each row as it comes: one JSON object per row, a CSV header and
+    one line per row, or for "table" the aligned name/value pairs of each row."""
     if fmt == "json":
-        print(json.dumps({name: value for name, value in pairs}), file=out)
-    elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow([name for name, _ in pairs])
-        writer.writerow([_fmt(value) for _, value in pairs])
+        for row in rows:
+            print(json.dumps(dict(zip(names, row))), file=out)
+    elif fmt == "table":
+        width = max(map(len, names))
+        for row in rows:
+            for name, value in zip(names, row):
+                print(f"{name:<{width}}  {_fmt(value)}", file=out)
     else:
-        _print_pairs(pairs, out)
-
-
-def _solve_pairs(res: analytic_solver.SolveResult):
-    return [
-        ("n", res.n),
-        ("y_opt", res.y_opt),
-        ("x_opt", res.x_opt),
-        ("profit", res.profit),
-        ("allocation", res.allocation),
-        ("transshipment", res.transshipment),
-        ("residual", res.residual),
-        ("no_shortage_prob", res.no_shortage_prob),
-    ]
+        writer = csv.writer(out)
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
 
 
 def _cmd_solve(args, out) -> int:
-    params = _resolve_params(args)
-    res = analytic_solver.solve_optimal_quantity(args.n, params)
-    _emit_record(_solve_pairs(res), args.format, out)
+    res = asdict(analytic_solver.solve_optimal_quantity(args.n, _resolve_params(args)))
+    _emit_rows(list(res), [res.values()], args.format, out)
     return 0
 
 
-def _limit_column(params: MarketParams):
-    return analytic_solver.limit_analysis(params).y_inf if params.rho == 0.0 else ""
+def _limit_column(params: MarketParams) -> Optional[float]:
+    return analytic_solver.limit_analysis(params).y_inf if params.rho == 0.0 else None
+
+
+def _sweep_row(x: float, res: analytic_solver.SolveResult, y_inf: Optional[float]) -> tuple:
+    return (x, res.y_opt, res.no_shortage_prob, res.profit, res.allocation,
+            res.transshipment, y_inf)
 
 
 def _cmd_sweep(args, out) -> int:
@@ -114,49 +104,31 @@ def _cmd_sweep(args, out) -> int:
         span = args.sweep_to - args.sweep_from
         if not math.isfinite(span):
             raise ParameterError(f"--to - --from must be finite, got {span!r}")
-        markets = [replace(params, t=args.sweep_from + span * k / (args.steps - 1))
-                   for k in range(args.steps)]
-        jobs = [(at_t.t, analytic_solver.solve_optimal_quantity(args.n, at_t),
-                 _limit_column(at_t)) for at_t in markets]
+        # Each row checks its own t, so all are solved before the first prints.
+        markets = (replace(params, t=args.sweep_from + span * k / (args.steps - 1))
+                   for k in range(args.steps))
+        rows = [_sweep_row(at_t.t, analytic_solver.solve_optimal_quantity(args.n, at_t),
+                           _limit_column(at_t)) for at_t in markets]
     else:
         if args.sweep_from != int(args.sweep_from) or args.sweep_to != int(args.sweep_to):
             raise ParameterError("--over n takes integer bounds")
         lo, hi = int(args.sweep_from), int(args.sweep_to)
         if lo < 1 or hi < lo:
             raise ParameterError(f"--over n needs 1 <= from <= to, got {lo}..{hi}")
+        # The whole range is checked here; each row is then written as it is solved.
         _, results = analytic_solver._solve_sizes(params, range(lo, hi + 1))
         y_inf = _limit_column(params)
-        jobs = [(float(res.n), res, y_inf) for res in results]
-    rows = [(x, res.y_opt, res.no_shortage_prob, res.profit, res.allocation,
-             res.transshipment, y_inf) for x, res, y_inf in jobs]
-
-    if args.format == "json":
-        for row in rows:
-            record = dict(zip(SWEEP_HEADER, row))
-            if record["Y_inf"] == "":
-                record["Y_inf"] = None
-            print(json.dumps(record), file=out)
-    else:
-        writer = csv.writer(out)
-        writer.writerow(SWEEP_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        rows = (_sweep_row(float(res.n), res, y_inf) for res in results)
+    _emit_rows(SWEEP_HEADER, rows, "json" if args.format == "json" else "csv", out)
     return 0
 
 
 def _cmd_limits(args, out) -> int:
     params = _resolve_params(args)
     res = analytic_solver.limit_analysis(params)
-    pairs = [
-        ("game_type", res.game_type.value),
-        ("regime", res.regime.value),
-        ("cut_value", res.cut_value),
-        ("t", params.t),
-        ("phi_y_inf", res.phi_y_inf),
-        ("y_inf", res.y_inf),
-        ("phi_ly_inf", res.phi_ly_inf),
-    ]
-    _emit_record(pairs, args.format, out)
+    _emit_rows(("game_type", "regime", "cut_value", "t", "phi_y_inf", "y_inf", "phi_ly_inf"),
+               [(res.game_type.value, res.regime.value, res.cut_value, params.t,
+                 res.phi_y_inf, res.y_inf, res.phi_ly_inf)], args.format, out)
     return 0
 
 
@@ -173,40 +145,22 @@ def _cmd_simulate(args, out) -> int:
                                         params.rho, args.count, args.seed)
     if args.dump_scenarios:
         simulation.dump_scenarios(samples, args.dump_scenarios)
-    mc_profit = simulation.estimate_profit(x, samples, params)
-    mc_omega = simulation.estimate_transshipment(x, samples)
     checks = [
-        ("profit", closed_profit, mc_profit),
-        ("transshipment", closed_omega, mc_omega),
+        ("profit", closed_profit, simulation.estimate_profit(x, samples, params)),
+        ("transshipment", closed_omega, simulation.estimate_transshipment(x, samples)),
     ]
-    records = []
-    for name, closed, est in checks:
-        gap = abs(est.mean - closed)
-        ok = gap <= 4.0 * est.std_error
-        records.append({
-            "quantity": name,
-            "closed_form": closed,
-            "mc_mean": est.mean,
-            "mc_std_error": est.std_error,
-            "count": est.count,
-            "within_4_std_errors": ok,
-        })
-    if args.format == "json":
-        for record in records:
-            print(json.dumps(record), file=out)
-    elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(records[0].keys())
-        for record in records:
-            writer.writerow([_fmt(v) for v in record.values()])
-    else:
-        print(f"x = {_fmt(x)}  n = {args.n}  count = {args.count}  seed = {args.seed} "
-              f"({samples.rng_algorithm})", file=out)
-        for record in records:
-            status = "PASS" if record["within_4_std_errors"] else "FAIL"
-            print(f"{record['quantity']:<14} closed {_fmt(record['closed_form'])}  "
-                  f"mc {_fmt(record['mc_mean'])} +- {_fmt(record['mc_std_error'])}  "
-                  f"[{status} at 4 std errors]", file=out)
+    rows = [(name, closed, est.mean, est.std_error, est.count,
+             abs(est.mean - closed) <= 4.0 * est.std_error) for name, closed, est in checks]
+    if args.format != "table":
+        _emit_rows(("quantity", "closed_form", "mc_mean", "mc_std_error", "count",
+                    "within_4_std_errors"), rows, args.format, out)
+        return 0
+    print(f"x = {_fmt(x)}  n = {args.n}  count = {args.count}  seed = {args.seed} "
+          f"({samples.rng_algorithm})", file=out)
+    for name, closed, mean, std_error, _, ok in rows:
+        status = "PASS" if ok else "FAIL"
+        print(f"{name:<14} closed {_fmt(closed)}  mc {_fmt(mean)} +- {_fmt(std_error)}  "
+              f"[{status} at 4 std errors]", file=out)
     return 0
 
 
@@ -216,13 +170,9 @@ def _cmd_core_check(args, out) -> int:
     if args.format == "json":
         print(report.to_json(), file=out)
     else:
-        _emit_record([
-            ("n", report.n),
-            ("in_core", report.in_core),
-            ("worst_margin", report.worst_margin),
-            ("witness_m", report.witness_m),
-            ("beta_n", report.beta[-1]),
-        ], args.format, out)
+        _emit_rows(("n", "in_core", "worst_margin", "witness_m", "beta_n"),
+                   [(report.n, report.in_core, report.worst_margin, report.witness_m,
+                     report.beta[-1])], args.format, out)
     return 0
 
 
@@ -281,16 +231,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "transshipment coalitions of identical newsvendors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    market = argparse.ArgumentParser(add_help=False)
+    market.add_argument("--config", help="key=value file supplying r,c,nu,t,mu,sigma,rho")
+    for key in PARAM_KEYS:
+        market.add_argument(f"--{key}", type=float, default=None)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    shared = [market, fmt]
 
-    p_solve = sub.add_parser("solve", help="solve a single coalition size")
-    _add_param_args(p_solve)
-    _add_format_arg(p_solve)
+    p_solve = sub.add_parser("solve", parents=shared, help="solve a single coalition size")
     p_solve.add_argument("--n", type=int, required=True)
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_sweep = sub.add_parser("sweep", help="sweep transport cost or coalition size")
-    _add_param_args(p_sweep)
-    _add_format_arg(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=shared,
+                             help="sweep transport cost or coalition size")
     p_sweep.add_argument("--over", choices=("t", "n"), required=True)
     p_sweep.add_argument("--from", dest="sweep_from", type=float, required=True)
     p_sweep.add_argument("--to", dest="sweep_to", type=float, required=True)
@@ -300,14 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="coalition size for --over t sweeps")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_limits = sub.add_parser("limits", help="large-coalition limit (rho = 0)")
-    _add_param_args(p_limits)
-    _add_format_arg(p_limits)
+    p_limits = sub.add_parser("limits", parents=shared, help="large-coalition limit (rho = 0)")
     p_limits.set_defaults(func=_cmd_limits)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo vs closed forms")
-    _add_param_args(p_sim)
-    _add_format_arg(p_sim)
+    p_sim = sub.add_parser("simulate", parents=shared, help="Monte Carlo vs closed forms")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--count", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -318,15 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the sampled demands to FILE as CSV")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_core = sub.add_parser("core-check", help="equal-allocation core membership")
-    _add_param_args(p_core)
-    _add_format_arg(p_core)
+    p_core = sub.add_parser("core-check", parents=shared,
+                            help="equal-allocation core membership")
     p_core.add_argument("--n", type=int, required=True)
     p_core.add_argument("--tolerance", type=float, default=core_analysis.DEFAULT_CORE_TOL)
     p_core.set_defaults(func=_cmd_core_check)
 
-    p_rec = sub.add_parser("recourse", help="solve a transshipment plan from CSV")
-    _add_format_arg(p_rec)
+    p_rec = sub.add_parser("recourse", parents=[fmt], help="solve a transshipment plan from CSV")
     p_rec.add_argument("--surplus-file", required=True, help="CSV with header agent,H,E")
     p_rec.add_argument("--profit-file", required=True, help="CSV holding the n x n profit matrix")
     p_rec.set_defaults(func=_cmd_recourse)

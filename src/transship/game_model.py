@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Union
@@ -145,11 +146,13 @@ def _fractile_quantile(econ: DerivedEconomics) -> float:
 def pooling_factor(n: int, rho: float) -> float:
     """Risk-pooling factor L_n = sqrt(n / (1 + (n-1)*rho)); L_1 = 1.
 
-    Requires rho > -1/(n-1) for n >= 2 (positive-definite equicorrelation)
-    and rho <= 1.
+    Requires rho > -1/(n-1) for n >= 2 (positive-definite equicorrelation),
+    rho <= 1, and an n no larger than the largest float.
     """
     if n < 1:
         raise ParameterError(f"coalition size n must be >= 1, got {n}")
+    if n > sys.float_info.max:  # n - 1 and n / denom would overflow
+        raise ParameterError(f"coalition size n exceeds the float range (> {sys.float_info.max!r})")
     if rho > 1.0:
         raise ParameterError(f"rho = {rho} > 1")
     denom = 1.0 + (n - 1) * rho

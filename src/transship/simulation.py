@@ -56,6 +56,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
 @dataclass(frozen=True, eq=False, kw_only=True)
 class DemandMatrix:
     """Joint demand scenarios: `count` rows of draws, one column per agent.
@@ -93,6 +97,9 @@ class DemandMatrix:
         count, seed = self.count, self.seed
         if not _is_integer(n) or n < 1:
             raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+        for name, value in (("mu", mu), ("sigma", sigma), ("rho_target", rho)):
+            if not _is_real(value):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
         for name, value in (("mu", mu), ("sigma", sigma)):
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
@@ -112,8 +119,9 @@ class DemandMatrix:
         if count * n > _MAX_ENTRIES:
             raise ParameterError(f"count * n = {count * n} entries exceed the largest "
                                  f"array numpy can hold ({_MAX_ENTRIES})")
-        # numpy integers are recorded as int
-        for name, value in (("n", n), ("count", count), ("seed", int(seed))):
+        # numpy integers are recorded as int, and every real number as a float
+        for name, value in (("n", n), ("count", count), ("seed", int(seed)), ("mu", float(mu)),
+                            ("sigma", float(sigma)), ("rho_target", float(rho))):
             object.__setattr__(self, name, value)
 
     def _draw(self, out: Optional[np.ndarray] = None):

@@ -521,6 +521,50 @@ class TestSizeCap:
             assert res.n == n and res.residual <= 1e-12
 
 
+class TestFloatRange:
+    """A size past the float range, or a solution that overflows it, is a
+    one-line ParameterError, never a traceback or an inf."""
+
+    @pytest.mark.parametrize("call", [
+        lambda n: solve_optimal_quantity(n, MEAN_GAME),
+        lambda n: expected_profit(100.0, n, MEAN_GAME),
+        lambda n: expected_transshipment(0.5, n, MEAN_GAME),
+        lambda n: optimality_residual(0.5, n, validate_params(MEAN_GAME), 0.0),
+    ], ids=["solve", "expected_profit", "expected_transshipment", "residual"])
+    def test_size_past_the_float_range(self, call):
+        with pytest.raises(ParameterError, match="coalition size n exceeds the float range"):
+            call(10**400)
+
+    @pytest.mark.parametrize("n", [10**306, 10**307, int(1.7976931348623157e308)],
+                             ids=["1e306", "1e307", "float-max"])
+    def test_solution_past_the_float_range(self, n):
+        # n * allocation passes the float maximum while L_n is still finite
+        with pytest.raises(ParameterError) as info:
+            solve_optimal_quantity(n, MEAN_GAME)
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.startswith(f"the solution at n = {n:.6g} overflows the float range: ")
+        assert "profit = inf" in message
+
+    def test_large_finite_solution_is_kept(self):
+        res = solve_optimal_quantity(10**305, MEAN_GAME)
+        assert math.isfinite(res.profit) and math.isfinite(res.transshipment)
+
+    def test_overflow_from_the_market_alone(self):
+        # every size overflows when mu * (r - nu) does; the first one is n = 1
+        market = MarketParams(r=10, c=6, nu=2, t=2, mu=1e308, sigma=20, rho=0)
+        with pytest.raises(ParameterError, match="at n = 1 overflows"):
+            quantity_sequence(market, 3)
+
+    def test_sizes_stream_until_the_first_overflow(self):
+        # allocation is about 4e307, so n = 5 is the first size whose profit overflows
+        market = MarketParams(r=10, c=6, nu=2, t=2, mu=1e307, sigma=20, rho=0)
+        _, results = analytic_solver._solve_sizes(market, range(1, 7))
+        assert [next(results).n for _ in range(4)] == [1, 2, 3, 4]
+        with pytest.raises(ParameterError, match="at n = 5 overflows"):
+            next(results)
+
+
 def mp_condition_root(econ, L):
     """50-digit root of gamma*Phi(y) + gamma_tilde*Phi(L*y) = R for the same doubles."""
     mp = pytest.importorskip("mpmath")

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,9 @@ MEAN_ARGS = ["--r", "10", "--c", "6", "--nu", "2", "--t", "2",
              "--mu", "100", "--sigma", "20", "--rho", "0"]
 UNDER_ARGS = ["--r", "10", "--c", "8", "--nu", "2",
               "--mu", "100", "--sigma", "20", "--rho", "0"]
+# Demands that overflow the float range, in a market whose closed forms fit.
+OVERFLOW_DRAWS = ["--r", "1", "--c", "0.5", "--nu", "0", "--t", "0.2",
+                  "--mu", "0", "--sigma", "1e308", "--rho", "0"]
 
 
 def run_cli(argv):
@@ -60,6 +64,27 @@ class TestSolve:
         code, text = run_cli(["solve", *MEAN_ARGS, "--n", "1000000000000", "--format", "json"])
         assert code == 0
         assert json.loads(text)["n"] == 10**12
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", *MEAN_ARGS],
+        ["simulate", *MEAN_ARGS, "--count", "10"],
+        ["sweep", "--over", "t", "--from", "0", "--to", "1", "--steps", "3", *UNDER_ARGS],
+    ], ids=["solve", "simulate", "sweep-t"])
+    def test_size_past_the_float_range_exits_with_one_line(self, capsys, argv):
+        code, text = run_cli([*argv, "--n", "1" + "0" * 400])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == ("error: coalition size n exceeds the float range "
+                                           "(> 1.7976931348623157e+308)\n")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_solution_past_the_float_range_exits_with_one_line(self, capsys, fmt):
+        # profit and transshipment were inf, which --format json wrote as Infinity
+        code, text = run_cli(["solve", *MEAN_ARGS, "--n", str(10**307), "--format", fmt])
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: the solution at n = 1e+307 overflows the float range: "
+                              "x_opt = 100.0, profit = inf, transshipment = inf")
 
     def test_csv_round_trip(self):
         code, text = run_cli(["solve", *MEAN_ARGS, "--n", "3", "--format", "csv"])
@@ -192,6 +217,30 @@ class TestSweep:
         assert [row[0] for row in rows] == ["1000000000000.0", "1000000000001.0",
                                             "1000000000002.0"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_over_n_row_that_overflows_fails_after_the_rows_before_it(self, capsys, fmt):
+        # The rows stream as they are solved: at mu = 1e307 the allocation is
+        # about 4e307, so the profit of n = 5 is the first to pass the float
+        # maximum. The rows before it are written, then one error line.
+        args = [{"100": "1e307"}.get(a, a) for a in MEAN_ARGS]
+        argv = ["sweep", "--over", "n", "--from", "1", "--to", "6", *args, "--format", fmt]
+        code, text = run_cli(argv)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: the solution at n = 5 overflows the float range: x_opt = 1e+307, profit = inf")
+        head = run_cli([*argv[:6], "4", *argv[7:]])
+        assert head[0] == 0 and text == head[1]
+        assert len(text.splitlines()) == (4 if fmt == "json" else 5)
+
+    def test_over_n_checks_the_whole_range_before_the_first_row(self, capsys):
+        # rho = -0.01 is valid up to n = 101; the range is refused before n = 1 prints
+        args = [{"0": "-0.01"}.get(a, a) for a in MEAN_ARGS]
+        code, text = run_cli(["sweep", "--over", "n", "--from", "1", "--to", "200", *args])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: rho = -0.01 <= -1/(n-1) = -0.005025125628140704: "
+            "equicorrelation matrix not positive-definite for n = 200\n")
+
     def test_correlated_demands_blank_limit_column(self):
         args = [a if a != "0" else "0.4" for a in MEAN_ARGS]
         code, text = run_cli(["sweep", "--over", "n", "--from", "1", "--to", "3",
@@ -199,6 +248,31 @@ class TestSweep:
         assert code == 0
         rows = list(csv.reader(io.StringIO(text)))
         assert all(row[6] == "" for row in rows[1:])
+
+
+class NullSink:
+    def write(self, text):
+        return len(text)
+
+
+class TestStreaming:
+    """sweep --over n and core-check hold no list of per-size results: the
+    sweep writes each row as it is solved, and the core check keeps only the
+    allocations. Holding the results peaked at 10.7 and 7.7 MiB at n = 20,000."""
+
+    @pytest.mark.parametrize("argv,bound_mib", [
+        (["sweep", "--over", "n", "--from", "1", "--to", "20000", *MEAN_ARGS], 1.0),
+        (["core-check", *MEAN_ARGS, "--n", "20000"], 3.0),
+    ], ids=["sweep-n", "core-check"])
+    def test_traced_peak(self, argv, bound_mib):
+        tracemalloc.start()
+        try:
+            code = main(argv, out=NullSink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < bound_mib * 2**20
 
 
 class TestLimits:
@@ -256,15 +330,28 @@ class TestSimulate:
 
     def test_scenarios_that_overflow_exit_with_one_line(self, tmp_path, capsys):
         # sigma * Z passes the float maximum for |Z| > 1.8: the dump stops at
-        # the first block with an infinite demand instead of writing inf
+        # the first block with an infinite demand instead of writing inf. One
+        # agent and r - nu = 1 keep the closed forms, solved first, finite.
+        path = tmp_path / "draws.csv"
+        code, text = run_cli(["simulate", *OVERFLOW_DRAWS, "--n", "1", "--count", "100",
+                              "--dump-scenarios", str(path)])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == ("error: scenario demands are not finite from row 40: "
+                                           "mu = 0.0 and sigma = 1e+308 overflow the float range\n")
+        assert "inf" not in path.read_text()
+
+    def test_closed_forms_that_overflow_exit_before_sampling(self, tmp_path, capsys):
+        # At four agents the profit and the transshipment pass the float
+        # maximum too, so the solve refuses before anything is drawn.
         args = [{"100": "0", "20": "1e308"}.get(a, a) for a in MEAN_ARGS]
         path = tmp_path / "draws.csv"
         code, text = run_cli(["simulate", *args, "--n", "4", "--count", "100",
                               "--dump-scenarios", str(path)])
         assert (code, text) == (1, "")
-        assert capsys.readouterr().err == ("error: scenario demands are not finite from row 10: "
-                                           "mu = 0.0 and sigma = 1e+308 overflow the float range\n")
-        assert "inf" not in path.read_text()
+        assert capsys.readouterr().err == (
+            "error: the solution at n = 4 overflows the float range: "
+            "x_opt = 0.0, profit = -inf, transshipment = inf\n")
+        assert not path.exists()
 
 
 class TestCoreCheck:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +137,16 @@ class TestPoolingFactor:
             pooling_factor(5, 1.01)
         with pytest.raises(ParameterError, match=">= 1"):
             pooling_factor(0, 0.0)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    def test_size_past_the_float_range(self, rho):
+        largest = int(sys.float_info.max)
+        assert pooling_factor(largest, 0.0) == math.sqrt(sys.float_info.max)
+        for n in (largest + 1, 10**400):
+            with pytest.raises(ParameterError) as info:
+                pooling_factor(n, rho)
+            assert str(info.value) == ("coalition size n exceeds the float range "
+                                       "(> 1.7976931348623157e+308)")
 
     def test_negative_rho_inside_bound(self):
         assert pooling_factor(5, -0.2) == pytest.approx(math.sqrt(5 / 0.2), rel=1e-15)

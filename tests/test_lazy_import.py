@@ -141,12 +141,15 @@ def test_simulate_dump_unchanged(tmp_path):
 def test_simulate_overflow_is_one_error_line(tmp_path):
     # Demands past the float maximum: a numpy RuntimeWarning that escapes the
     # CLI would be a traceback here, since warnings are errors.
-    argv = [*SIMULATE_ARGS[:SIMULATE_ARGS.index("--n")], "--n", "4", "--count", "100",
+    # One agent and r - nu = 1 keep the closed forms, solved first, finite.
+    argv = [*SIMULATE_ARGS[:SIMULATE_ARGS.index("--n")], "--n", "1", "--count", "100",
             "--dump-scenarios", str(tmp_path / "draws.csv")]
-    argv[argv.index("--mu") + 1], argv[argv.index("--sigma") + 1] = "0", "1e308"
+    for flag, value in {"--r": "1", "--c": "0.5", "--nu": "0", "--t": "0.2",
+                        "--mu": "0", "--sigma": "1e308"}.items():
+        argv[argv.index(flag) + 1] = value
     done = run_fresh(RUN_CLI, *argv, returncode=1)
     assert done.stdout == ""
-    assert done.stderr == ("error: scenario demands are not finite from row 3: "
+    assert done.stderr == ("error: scenario demands are not finite from row 40: "
                            "mu = 0.0 and sigma = 1e+308 overflow the float range\n")
 
 

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import decimal
+import fractions
 import hashlib
 import math
 import re
@@ -138,6 +140,24 @@ class ArgumentChecks:
         top = sample_demands(3, 100, 20, 0.0, 5, seed=2**128 - 1).scenarios
         z = np.random.Generator(np.random.Philox(key=2**128 - 1)).standard_normal((5, 3))
         assert top.tobytes() == (100 + 20 * z).tobytes()
+
+    @pytest.mark.parametrize("name", ["mu", "sigma", "rho"])
+    @pytest.mark.parametrize("value", ["0.3", None, True, False, np.bool_(True), 1j,
+                                       decimal.Decimal("0.3")])
+    def test_rejects_a_mean_spread_or_correlation_that_is_not_a_real_number(self, name, value):
+        kwargs = dict(n=4, mu=100, sigma=20, rho=0.3, count=10, seed=0)
+        kwargs[name] = value
+        field = "rho_target" if name == "rho" else name
+        with pytest.raises(ParameterError) as info:
+            self.build(**kwargs)
+        assert str(info.value) == f"{field} must be a real number, got {value!r}"
+
+    def test_records_every_real_number_as_a_float(self):
+        expected = sample_demands(3, 100.0, 20.0, 0.25, 50, seed=5)
+        samples = self.build(3, 100, np.float32(20), fractions.Fraction(1, 4), 50, seed=5)
+        assert [type(v) for v in (samples.mu, samples.sigma, samples.rho_target)] == [float] * 3
+        assert repr(samples) == repr(expected)
+        assert samples.scenarios.tobytes() == expected.scenarios.tobytes()
 
     def test_rejects_more_entries_than_an_array_can_hold(self):
         # The matrix is never drawn here, so the size is checked at the call.
@@ -283,6 +303,18 @@ class TestSampleDemands(ArgumentChecks):
         corr = np.corrcoef(samples.scenarios.T)
         off_diag = corr[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off_diag - 0.6) <= 0.02)
+
+def replace_fields(n, mu, sigma, rho, count, seed):
+    """dataclasses.replace of a valid DemandMatrix, with the arguments of sample_demands."""
+    return dataclasses.replace(sample_demands(2, 1.0, 1.0, 0.0, 1, seed=0), n=n, count=count,
+                               seed=seed, rho_target=rho, mu=mu, sigma=sigma)
+
+
+class TestReplace(ArgumentChecks):
+    """dataclasses.replace runs the same checks as building one."""
+
+    build = staticmethod(replace_fields)
+
 
 class TestDemandMatrixConstructor(ArgumentChecks):
     """DemandMatrix checks its own fields, so no instance exists that
