@@ -98,13 +98,13 @@ def _cmd_sweep(args, out) -> int:
         if args.steps < 2:
             raise ParameterError(f"--steps must be >= 2, got {args.steps}")
         if args.steps > analytic_solver._MAX_SIZES:
-            # Every step is a solve and a row, built before anything prints.
+            # Every step is a solve and a row, built before anything prints,
+            # because each row checks its own t.
             raise ParameterError(f"--steps {args.steps} requested; at most "
                                  f"{analytic_solver._MAX_SIZES} per call")
         span = args.sweep_to - args.sweep_from
         if not math.isfinite(span):
             raise ParameterError(f"--to - --from must be finite, got {span!r}")
-        # Each row checks its own t, so all are solved before the first prints.
         markets = (replace(params, t=args.sweep_from + span * k / (args.steps - 1))
                    for k in range(args.steps))
         rows = [_sweep_row(at_t.t, analytic_solver.solve_optimal_quantity(args.n, at_t),

@@ -57,7 +57,7 @@ def _is_integer(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)

@@ -546,6 +546,17 @@ class TestFloatRange:
         assert message.startswith(f"the solution at n = {n:.6g} overflows the float range: ")
         assert "profit = inf" in message
 
+    @pytest.mark.parametrize("n,market,shown", [
+        (4, MarketParams(r=1, c=0.5, nu=0, t=0.2, mu=0, sigma=1e308, rho=0),
+         "x_opt = 0.0, profit = -9.574614729634385e+307, transshipment = inf"),
+        (1, MarketParams(r=1, c=0.3, nu=0, t=0.2, mu=1.5e308, sigma=1e308, rho=0),
+         "x_opt = inf, profit = 7.023073857999261e+307, transshipment = 0.0"),
+    ], ids=["transshipment", "x_opt"])
+    def test_each_field_is_checked(self, n, market, shown):
+        with pytest.raises(ParameterError) as info:
+            solve_optimal_quantity(n, market)
+        assert str(info.value) == f"the solution at n = {n} overflows the float range: {shown}"
+
     def test_large_finite_solution_is_kept(self):
         res = solve_optimal_quantity(10**305, MEAN_GAME)
         assert math.isfinite(res.profit) and math.isfinite(res.transshipment)
