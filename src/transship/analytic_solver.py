@@ -249,14 +249,26 @@ def _profit_at(y, n: int, L: float, econ: DerivedEconomics,
     return n * (econ.g * x - t * sigma * a - econ.p * sigma * pooled / L)
 
 
+def _within_float_range(value: float, what: str) -> float:
+    """`value`, or a one-line ParameterError naming `what` if it is not finite."""
+    if not math.isfinite(value):
+        raise ParameterError(f"{what} overflows the float range: {value!r}")
+    return value
+
+
 def expected_profit(x: float, n: int, params: MarketParams) -> float:
-    """Coalition expected profit J_n(x) for an arbitrary common quantity x."""
+    """Coalition expected profit J_n(x) for an arbitrary common quantity x.
+
+    A non-finite x raises ValueError, and a profit past the float range a
+    ParameterError.
+    """
     econ = validate_params(params)
     L = pooling_factor(n, params.rho)
     y = (x - params.mu) / params.sigma
     if not math.isfinite(y):
         raise ValueError(f"quantity x must be finite, got {x!r}")
-    return _profit_at(y, n, L, econ, params.mu, params.sigma, params.t, cdf_antiderivative)
+    profit = _profit_at(y, n, L, econ, params.mu, params.sigma, params.t, cdf_antiderivative)
+    return _within_float_range(profit, f"the expected profit at x = {x!r}, n = {n:.6g}")
 
 
 def equal_allocation(n: int, params: MarketParams) -> float:
@@ -269,13 +281,16 @@ def expected_transshipment(y: float, n: int, params: MarketParams) -> float:
 
     n*sigma*([y*Phi(y) + phi(y)] - [y*Phi(L_n y) + phi(L_n y)/L_n]) >= 0, an even
     function of y, evaluated at -|y| to keep full relative accuracy in both
-    tails; zero whenever pooling has nothing to move (n = 1 or rho = 1).
+    tails; zero whenever pooling has nothing to move (n = 1 or rho = 1). A
+    non-finite y raises ValueError, and an amount past the float range a
+    ParameterError.
     """
     validate_params(params)
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, got {y!r}")
     L = pooling_factor(n, params.rho)
-    return _transshipment(y, n, L, params.sigma)
+    return _within_float_range(_transshipment(y, n, L, params.sigma),
+                               f"the expected transshipment at y = {y!r}, n = {n:.6g}")
 
 
 def limit_analysis(params: MarketParams) -> LimitResult:

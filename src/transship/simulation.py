@@ -129,19 +129,25 @@ class DemandMatrix:
         about _BLOCK_ELEMENTS entries.
 
         Per scenario D = mu + scale * Z + weight * Zbar, with Z drawn from
-        Philox keyed by the seed. Each block is drawn and transformed in place:
-        into its rows of `out` when given, else into one reused buffer that the
-        next step overwrites. Philox's ziggurat normals use a variable number
-        of counters, so the blocks come in order from one generator, which
-        reproduces the stream of a single count x n draw bit for bit. Each row
-        mean is taken over its own row, so the result does not depend on the
-        block size. Overflow gives inf entries silently, for the caller to
-        reject.
+        Philox keyed by the seed, k normals per scenario. Each block is drawn
+        and transformed in place: into its rows of `out` when given, else into
+        one reused buffer that the next step overwrites. Philox's ziggurat
+        normals use a variable number of counters, so the blocks come in order
+        from one generator, which reproduces the stream of a single count x k
+        draw bit for bit. Each row mean is taken over its own row, so the
+        result does not depend on the block size. Overflow gives inf entries
+        silently, for the caller to reject.
+
+        At rho = 1 every column is the same demand, so k = 1: the column is
+        drawn as a single agent's (a = b = 1) and broadcast into the n
+        columns, which makes the stream that of n = 1 for the same mu, sigma,
+        count and seed. Otherwise k = n.
         """
         n, count, mu = self.n, self.count, self.mu
+        k = 1 if self.rho_target == 1.0 else n
         # A single agent has no pairwise correlation, so rho drops out (a = b = 1).
-        a = math.sqrt(1.0 - self.rho_target) if n > 1 else 1.0
-        b = math.sqrt(1.0 + (n - 1) * self.rho_target)
+        a = math.sqrt(1.0 - self.rho_target) if k > 1 else 1.0
+        b = math.sqrt(1.0 + (k - 1) * self.rho_target)
         scale, weight = self.sigma * a, self.sigma * (b - a)
         # The factor term weight * Zbar is a signed zero when weight = 0, and
         # mu + (+-0) = mu, so no row mean is needed. At mu = -0.0 the sign of a
@@ -151,20 +157,25 @@ class DemandMatrix:
         rows = _block_rows(n)
         rng = np.random.Generator(np.random.Philox(key=self.seed))
         buffer = np.empty((min(rows, count), n)) if out is None else None
+        # At k = 1 < n the column is drawn apart, then broadcast into the block.
+        column = np.empty((min(rows, count), k)) if k < n else None
         for lo in range(0, count, rows):
             size = min(rows, count - lo)
             block = buffer[:size] if out is None else out[lo:lo + size]
-            rng.standard_normal(out=block)
+            drawn = block if k == n else column[:size]
+            rng.standard_normal(out=drawn)
             with np.errstate(over="ignore", invalid="ignore"):
                 if factor:
-                    shift = block.mean(axis=1)
+                    shift = drawn.mean(axis=1)
                     shift *= weight
                     shift += mu
-                    block *= scale
-                    block += shift[:, np.newaxis]
+                    drawn *= scale
+                    drawn += shift[:, np.newaxis]
                 else:
-                    block *= scale
-                    block += mu
+                    drawn *= scale
+                    drawn += mu
+            if k < n:
+                block[...] = drawn
             yield lo, block
 
     def _finite(self, lo: int, block: np.ndarray) -> np.ndarray:
@@ -227,11 +238,13 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
         a = sqrt(1 - rho),  b = sqrt(1 + (n - 1) rho),
 
     which has unit variances and correlation rho, exactly, across the whole
-    valid range. It costs O(n) per scenario. At rho = 1 (a = 0) every column
-    is bit-identical, and at rho = 0 (b - a = 0) or n = 1 the result is
-    mu + sigma * Z, formed without the row means when mu != 0. The draws Z
-    come from Philox keyed by the seed. Nothing is drawn here: see
-    DemandMatrix.
+    valid range. It costs O(n) per scenario. At rho = 0 (b - a = 0) or n = 1
+    the result is mu + sigma * Z, formed without the row means when mu != 0.
+    At rho = 1 (a = 0) every column is one demand, so one normal is drawn
+    per scenario: the scenarios are the n = 1 scenarios of the same mu,
+    sigma, count and seed, repeated into n columns bit for bit. At rho < 1
+    every scenario draws n normals. The draws Z come from Philox keyed by the
+    seed. Nothing is drawn here: see DemandMatrix.
     """
     return DemandMatrix(n=n, count=count, seed=seed, rho_target=rho, mu=mu, sigma=sigma)
 

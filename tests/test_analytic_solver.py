@@ -557,6 +557,28 @@ class TestFloatRange:
             solve_optimal_quantity(n, market)
         assert str(info.value) == f"the solution at n = {n} overflows the float range: {shown}"
 
+    @pytest.mark.parametrize("call,shown", [
+        (lambda n, market: expected_profit(100.0, n, market), "the expected profit at x = 100.0"),
+        (lambda n, market: expected_transshipment(0.0, n, market),
+         "the expected transshipment at y = 0.0"),
+    ], ids=["expected_profit", "expected_transshipment"])
+    def test_closed_form_past_the_float_range(self, call, shown):
+        assert math.isfinite(call(10**305, MEAN_GAME))
+        with pytest.raises(ParameterError) as info:
+            call(10**307, MEAN_GAME)
+        assert str(info.value) == f"{shown}, n = 1e+307 overflows the float range: inf"
+
+    @pytest.mark.parametrize("call,shown", [
+        (lambda market: expected_profit(1e308, 4, market),
+         "the expected profit at x = 1e+308, n = 4 overflows the float range: -inf"),
+        (lambda market: expected_transshipment(0.0, 4, market),
+         "the expected transshipment at y = 0.0, n = 4 overflows the float range: inf"),
+    ], ids=["expected_profit", "expected_transshipment"])
+    def test_closed_form_past_the_float_range_at_a_few_agents(self, call, shown):
+        with pytest.raises(ParameterError) as info:
+            call(MarketParams(r=1, c=0.5, nu=0, t=0.2, mu=0, sigma=1e308, rho=0))
+        assert str(info.value) == shown
+
     def test_large_finite_solution_is_kept(self):
         res = solve_optimal_quantity(10**305, MEAN_GAME)
         assert math.isfinite(res.profit) and math.isfinite(res.transshipment)

@@ -153,19 +153,36 @@ def test_simulate_overflow_is_one_error_line(tmp_path):
                            "mu = 0.0 and sigma = 1e+308 overflow the float range\n")
 
 
-def test_simulate_does_not_hold_the_scenario_matrix():
-    # The 128 x 100,000 matrix alone is 97.7 MiB; the process reads its own
-    # peak resident size, so nothing from the test runner counts.
-    pytest.importorskip("resource")
-    code = """
-import io, resource, sys, transship.cli
+PEAK_RSS_MIB = """
+import io, sys, transship.cli
 transship.cli.main(sys.argv[1:], out=io.StringIO())
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
+try:
+    # This process's own peak: ru_maxrss can carry the parent's across exec.
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    print(peak / 2**10)
+except OSError:
+    import resource
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
 """
+
+
+def simulate_peak_mib(rho):
+    """Peak resident MiB of a fresh `simulate` process at 128 agents and
+    100,000 scenarios, whose matrix alone is 97.7 MiB."""
+    pytest.importorskip("resource")
     market = SIMULATE_ARGS[:SIMULATE_ARGS.index("--n")]
-    peak_mib = float(run_fresh(code, *market, "--n", "128", "--count", "100000").stdout)
-    assert peak_mib < 80.0
+    market[market.index("--rho") + 1] = rho
+    return float(run_fresh(PEAK_RSS_MIB, *market, "--n", "128", "--count", "100000").stdout)
+
+
+def test_simulate_does_not_hold_the_scenario_matrix():
+    assert simulate_peak_mib("0.3") < 80.0
+
+
+def test_simulate_at_perfect_correlation_does_not_hold_the_scenario_matrix():
+    assert simulate_peak_mib("1") < 80.0
 
 
 def test_all_lists_every_public_name():

@@ -97,6 +97,12 @@ def count_kernel_calls(monkeypatch):
     return calls
 
 
+def single_agent_columns(n, mu, sigma, count, seed):
+    """The n = 1 scenarios of (mu, sigma, count, seed) repeated into n columns:
+    the rho = 1 stream."""
+    return np.repeat(sample_demands(1, mu, sigma, 0.0, count, seed).scenarios, n, axis=1)
+
+
 def construct(n, mu, sigma, rho, count, seed):
     """DemandMatrix built directly, with the arguments of sample_demands."""
     return DemandMatrix(n=n, count=count, seed=seed, rho_target=rho, mu=mu, sigma=sigma)
@@ -219,7 +225,9 @@ class TestSampleDemands(ArgumentChecks):
         assert np.array_equal(samples.scenarios, 100 + 20 * z)
 
     # sha256 of sample_demands(n, 100, 20, rho, 301, seed=41).scenarios.tobytes(),
-    # recorded from the sampler that always formed the row means.
+    # recorded from the sampler that always formed the row means. At rho = 1
+    # and n > 1 the digests are of single_agent_columns(n, 100, 20, 301, 41),
+    # the stream since rho = 1 draws one normal per scenario.
     STREAM_DIGESTS = {
         (1, "0"): "38c9b1b793bd7294215778fcee9bf6400b6c757bd64d0734fe08513328b10d76",
         (1, "0.4"): "38c9b1b793bd7294215778fcee9bf6400b6c757bd64d0734fe08513328b10d76",
@@ -227,11 +235,11 @@ class TestSampleDemands(ArgumentChecks):
         (1, "lower"): "38c9b1b793bd7294215778fcee9bf6400b6c757bd64d0734fe08513328b10d76",
         (7, "0"): "293476da1979165a6cd0310bb75a308c945bd6b8b0be6afa26e52f4e2753d77c",
         (7, "0.4"): "67cdbf26c2596121ba52296705e9883f5803f19bf11a0222bd035d66549c8059",
-        (7, "1"): "50eec78f770cf98853f3db940ef15ff9516e4aadcc18c48c4a4b75185bf314f7",
+        (7, "1"): "52259d0bc13033019e7b49dc90e155be6b45c452f44b0f41c960232b8c1a45c5",
         (7, "lower"): "b485f7e7a52816291cc1a89be34343052764d40ed6f1915a65f462b76f1afa22",
         (128, "0"): "40b989fbf1c9d0e29cca2a70b698ac2ef07d53844d1438f7bacbb709d7b176cc",
         (128, "0.4"): "86baa1ec9d3311199f0d3fbc42d704125c5e1c701c2bd909a9c720dfbe23ebef",
-        (128, "1"): "9806aff4e882cf95ab95e48bd2bd379223fd1fa2bd06fe1fe5fb341df8794f9c",
+        (128, "1"): "bc008be1098645c9ccd8e2f2de3c6f2646bd22bc1fb5aeff19e476a194f01fac",
         (128, "lower"): "00303988d32a2de333888be21421249c94865130a3a113f12e5e5e295625ffff",
     }
 
@@ -256,6 +264,48 @@ class TestSampleDemands(ArgumentChecks):
         samples = sample_demands(n, 100.0, 20.0, rho, 301, seed=41)
         read = hashlib.sha256(samples.scenarios.tobytes())
         assert streamed.hexdigest() == read.hexdigest() == self.STREAM_DIGESTS[n, rho_kind]
+
+    @pytest.mark.parametrize("block", [1, 1000, None])
+    @pytest.mark.parametrize("sigma", [20.0, 5e-324])
+    @pytest.mark.parametrize("mu", [100.0, 0.0, -0.0])
+    @pytest.mark.parametrize("n", [2, 7, 128])
+    def test_perfect_correlation_is_the_single_agent_stream(self, monkeypatch, n, mu, sigma,
+                                                            block):
+        # At rho = 1 each scenario draws one normal, as a single agent does,
+        # and copies it into the n columns; block None keeps the default size.
+        expected = single_agent_columns(n, mu, sigma, 301, seed=41).tobytes()
+        if block is not None:
+            monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block)
+        streamed = sample_demands(n, mu, sigma, 1.0, 301, seed=41)._blocks()
+        assert b"".join(part.tobytes() for _, part in streamed) == expected
+        assert sample_demands(n, mu, sigma, 1.0, 301, seed=41).scenarios.tobytes() == expected
+
+    @pytest.mark.parametrize("rho,per_scenario", [(1.0, 1), (0.4, 128), (0.0, 128)])
+    def test_normals_drawn_per_pass(self, monkeypatch, tmp_path, rho, per_scenario):
+        # The work, not the time: every pass asks Philox for one normal per
+        # scenario at rho = 1, and n per scenario otherwise.
+        drawn = []
+        generator = np.random.Generator
+
+        class Counting:
+            def __init__(self, bit_generator):
+                self._rng = generator(bit_generator)
+
+            def standard_normal(self, *, out):
+                drawn.append(out.size)
+                return self._rng.standard_normal(out=out)
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        count = 3001
+        passes = [
+            lambda samples: estimate_transshipment(103.0, samples),
+            lambda samples: dump_scenarios(samples, tmp_path / "draws.csv"),
+            lambda samples: samples.scenarios,
+        ]
+        for run in passes:
+            drawn.clear()
+            run(sample_demands(128, 100.0, 20.0, rho, count, seed=41))
+            assert sum(drawn) == per_scenario * count
 
     def test_zero_factor_weight_keeps_the_signs_of_zeros(self):
         # At rho = 0 the factor term is a signed zero. With mu = -0.0 and a
@@ -665,9 +715,12 @@ class TestEstimatorOverflow:
 
 class TestRecordedEstimates:
     """Regression pins: McEstimate reprs and scenario digests recorded from the
-    sampler that drew the whole matrix in one call. Each entry is (n, mu,
-    sigma, rho kind, count, seed, xs, the first 32 hex digits of the sha256 of
-    the scenarios, and of the profit and transshipment reprs at each x)."""
+    sampler that drew the whole matrix in one call, except at rho = 1 and
+    n > 1. There the scenarios are single_agent_columns of the same mu, sigma,
+    count and seed, and the estimates were recorded by the estimators of that
+    sampler reducing that matrix. Each entry is (n, mu, sigma, rho kind,
+    count, seed, xs, the first 32 hex digits of the sha256 of the scenarios,
+    and of the profit and transshipment reprs at each x)."""
 
     CASES = [
         (1, 100.0, 20.0, "0", 2, 3, (103.0, 91.5),
@@ -687,7 +740,7 @@ class TestRecordedEstimates:
         (128, 100.0, 20.0, "lower", 500, 41, (103.0, 60.0),
          "53330e27570a5d9830cff27181cb4439", "1b8810170285dcb40383c214bcc60606"),
         (128, 100.0, 20.0, "1", 300, 9, (140.0, 100.0, 140.0),
-         "e65a18896539706a82463a36f3d38b9d", "18a8b7424b3b8337d537d02070fd3fe0"),
+         "69a137de5cc6f3c5a3e044f74803264d", "25ec3c5e1f675519ace763d754d66993"),
         (3, 100.0, 20.0, "lower", 4097, 123456789, (97.0, 130.0),
          "a26345bcfae5b20774a17057f186302a", "7ff7805b2de3be874b81ef5198b6a081"),
     ]
