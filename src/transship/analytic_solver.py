@@ -186,7 +186,12 @@ def _transshipment(y: float, n: int, L: float, sigma: float) -> float:
     # amount is even in y. Above 0 both terms are about y and cancel; below 0
     # both are small, so evaluate there.
     y = -abs(y)
-    value = n * sigma * (cdf_antiderivative(y) - cdf_antiderivative(L * y) / L)
+    width = cdf_antiderivative(y) - cdf_antiderivative(L * y) / L
+    value = n * sigma * width
+    if math.isinf(value):
+        # n * sigma alone can pass the float maximum where the amount fits;
+        # only then is the order changed, so every finite amount keeps its bits.
+        value = n * (sigma * width)
     # Tail cancellation can round a mathematically non-negative value below 0.
     return value if value > 0.0 else 0.0
 

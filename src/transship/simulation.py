@@ -52,6 +52,71 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ELEMENTS // n)
 
 
+# numpy's pairwise summation (the float add reduction) adds 0.0 to the
+# pairwise sum of a row. A row of fewer than 8 entries it sums left to right;
+# up to 128 entries it keeps 8 accumulators, entries j, j + 8, ... each, adds
+# them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the last
+# n % 8 entries in turn; a longer row is the sum of its two parts, split at
+# half its length rounded down to a multiple of 8. The two helpers below give
+# its bits at a fraction of its cost per row.
+_PAIRWISE_UNROLL = 8
+_PAIRWISE_BLOCK = 128
+
+
+def _row_sums(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """block.sum(axis=1, out=out), bit for bit.
+
+    numpy pays a fixed cost per row, which dominates at a few columns; a row
+    of fewer than 8 entries it sums left to right from 0.0, so here the
+    columns are added in turn instead. Wider blocks go to numpy.
+    """
+    n = block.shape[1]
+    if n >= _PAIRWISE_UNROLL:
+        return block.sum(axis=1, out=out)
+    np.add(block[:, 0], 0.0, out=out)
+    for j in range(1, n):
+        out += block[:, j]
+    return out
+
+
+def _repeated_sums(column: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """The row sums of n copies of `column` side by side, bit for bit as
+    numpy sums them (np.broadcast_to(column[:, None], (m, n)).sum(axis=1)),
+    into `out`, in O(log n + 24) passes over the column rather than n.
+
+    The 8 accumulators of a row of at most 128 equal entries are the same
+    sum, so their total is 8 times one of them, exactly; longer rows are
+    split as numpy splits them, and each part length is summed once.
+    """
+    # numpy's 0.0 start turns a -0.0 total into 0.0
+    return np.add(_pairwise_repeats(column, n, {}), 0.0, out=out)
+
+
+def _pairwise_repeats(column: np.ndarray, k: int, parts: dict) -> np.ndarray:
+    """numpy's pairwise sum of k copies of `column`; `parts` holds the sums
+    already formed, by length."""
+    if k in parts:
+        return parts[k]
+    if k > _PAIRWISE_BLOCK:
+        half = k // 2
+        half -= half % _PAIRWISE_UNROLL
+        total = _pairwise_repeats(column, half, parts) + _pairwise_repeats(column, k - half, parts)
+    elif k < _PAIRWISE_UNROLL:
+        total = column.copy()
+        for _ in range(k - 1):
+            total += column
+    else:
+        total = column.copy()
+        for _ in range(k // _PAIRWISE_UNROLL - 1):
+            total += column
+        for _ in range(3):  # ((r0 + r1) + (r2 + r3)) + (...), all r equal
+            total += total
+        for _ in range(k % _PAIRWISE_UNROLL):
+            total += column
+    parts[k] = total
+    return total
+
+
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -72,7 +137,8 @@ class DemandMatrix:
     O(block + count) memory and never the count x n matrix. Reading
     `scenarios` draws the whole matrix once and keeps it, read-only; later
     passes then walk it instead of drawing again. Every pass gives the same
-    bits, fixed by the seed.
+    bits, fixed by the seed. At rho = 1 the estimators' passes are narrow:
+    they draw, or walk, only the one column every agent shares.
 
     An instance holds the per-scenario totals of the last x the estimators
     reduced it at, so estimating the profit and the transshipment at one x
@@ -124,7 +190,12 @@ class DemandMatrix:
                             ("sigma", float(sigma)), ("rho_target", float(rho))):
             object.__setattr__(self, name, value)
 
-    def _draw(self, out: Optional[np.ndarray] = None):
+    def _width(self, narrow: bool) -> int:
+        """Columns in a block of a pass: n, or 1 when the pass is `narrow`
+        and rho = 1, where every column is the same demand."""
+        return 1 if narrow and self.rho_target == 1.0 else self.n
+
+    def _draw(self, out: Optional[np.ndarray] = None, narrow: bool = False):
         """Yield (first row, block) over the scenarios, in order, in blocks of
         about _BLOCK_ELEMENTS entries.
 
@@ -134,17 +205,19 @@ class DemandMatrix:
         one reused buffer that the next step overwrites. Philox's ziggurat
         normals use a variable number of counters, so the blocks come in order
         from one generator, which reproduces the stream of a single count x k
-        draw bit for bit. Each row mean is taken over its own row, so the
+        draw bit for bit. Each row mean is the row's sum (see _row_sums)
+        divided by k, as ndarray.mean forms it, over its own row, so the
         result does not depend on the block size. Overflow gives inf entries
         silently, for the caller to reject.
 
         At rho = 1 every column is the same demand, so k = 1: the column is
-        drawn as a single agent's (a = b = 1) and broadcast into the n
-        columns, which makes the stream that of n = 1 for the same mu, sigma,
-        count and seed. Otherwise k = n.
+        drawn as a single agent's (a = b = 1), which makes the stream that of
+        n = 1 for the same mu, sigma, count and seed. A `narrow` pass gets
+        that column itself, in blocks of about _BLOCK_ELEMENTS rows; any other
+        pass gets it broadcast into the n columns. Otherwise k = n.
         """
         n, count, mu = self.n, self.count, self.mu
-        k = 1 if self.rho_target == 1.0 else n
+        k, width = self._width(narrow=True), self._width(narrow)
         # A single agent has no pairwise correlation, so rho drops out (a = b = 1).
         a = math.sqrt(1.0 - self.rho_target) if k > 1 else 1.0
         b = math.sqrt(1.0 + (k - 1) * self.rho_target)
@@ -154,19 +227,21 @@ class DemandMatrix:
         # zero entry follows the sign of its row mean, so a zero mu takes the
         # full form.
         factor = weight != 0.0 or mu == 0.0
-        rows = _block_rows(n)
+        rows = min(_block_rows(width), count)
         rng = np.random.Generator(np.random.Philox(key=self.seed))
-        buffer = np.empty((min(rows, count), n)) if out is None else None
-        # At k = 1 < n the column is drawn apart, then broadcast into the block.
-        column = np.empty((min(rows, count), k)) if k < n else None
+        buffer = np.empty((rows, width)) if out is None else None
+        # Drawn apart when the k columns are broadcast into a wider block.
+        column = np.empty((rows, k)) if k < width else None
+        means = np.empty(rows) if factor else None
         for lo in range(0, count, rows):
             size = min(rows, count - lo)
             block = buffer[:size] if out is None else out[lo:lo + size]
-            drawn = block if k == n else column[:size]
+            drawn = block if column is None else column[:size]
             rng.standard_normal(out=drawn)
             with np.errstate(over="ignore", invalid="ignore"):
                 if factor:
-                    shift = drawn.mean(axis=1)
+                    shift = _row_sums(drawn, means[:size])
+                    shift /= k
                     shift *= weight
                     shift += mu
                     drawn *= scale
@@ -174,7 +249,7 @@ class DemandMatrix:
                 else:
                     drawn *= scale
                     drawn += mu
-            if k < n:
+            if column is not None:
                 block[...] = drawn
             yield lo, block
 
@@ -200,14 +275,16 @@ class DemandMatrix:
         matrix.flags.writeable = False
         return matrix
 
-    def _blocks(self):
+    def _blocks(self, narrow: bool = False):
         """(first row, block) over the scenarios: slices of `scenarios` once it
-        has been read, else fresh draws into one reused buffer."""
+        has been read, else fresh draws into one reused buffer. A `narrow`
+        pass at rho = 1 gets one column, the demand every agent sees."""
         matrix = vars(self).get("scenarios")
         if matrix is None:
-            return self._draw()
-        rows = _block_rows(self.n)
-        return ((lo, matrix[lo:lo + rows]) for lo in range(0, self.count, rows))
+            return self._draw(narrow=narrow)
+        width = self._width(narrow)
+        rows = _block_rows(width)
+        return ((lo, matrix[lo:lo + rows, :width]) for lo in range(0, self.count, rows))
 
 
 @dataclass(frozen=True)
@@ -253,25 +330,38 @@ def _surplus_shortage(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.n
     """Per-scenario totals S_H = sum_i max(x - D_i, 0) and S_E = sum_i max(D_i - x, 0).
 
     Reduces each block of the scenarios through one reused scratch buffer
-    while the block is still in cache. Each row is reduced on its own, so the
-    totals do not depend on the block size. Overflow gives inf or nan
-    silently, for the caller to reject.
+    while the block is still in cache, each row on its own, so the totals do
+    not depend on the block size. The totals are bit for bit the row sums
+    ndarray.sum forms over the n-wide block: short rows are summed column by
+    column (_row_sums), and at rho = 1 the pass is narrow and never forms the
+    n-wide block: the one column's max(x - D, 0) and max(D - x, 0) are
+    summed n times over in numpy's order (_repeated_sums). Overflow gives
+    inf or nan silently, for the caller to reject.
     """
     count, n = samples.count, samples.n
+    width = samples._width(narrow=True)
     surplus = np.empty(count)
     shortage = np.empty(count)
-    buffer = np.empty((min(_block_rows(n), count), n))
+    buffer = np.empty((min(_block_rows(width), count), width))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, block in samples._blocks():
+        for lo, block in samples._blocks(narrow=True):
             hi = lo + block.shape[0]
             scratch = buffer[:block.shape[0]]
             np.subtract(x, block, out=scratch)
-            np.maximum(scratch, 0.0, out=scratch)
-            scratch.sum(axis=1, out=surplus[lo:hi])
+            _add_up(scratch, n, surplus[lo:hi])
             np.subtract(block, x, out=scratch)
-            np.maximum(scratch, 0.0, out=scratch)
-            scratch.sum(axis=1, out=shortage[lo:hi])
+            _add_up(scratch, n, shortage[lo:hi])
     return surplus, shortage
+
+
+def _add_up(excess: np.ndarray, n: int, out: np.ndarray) -> None:
+    """`out` = the row sums of max(excess, 0) over n agents; `excess` holds
+    n columns, or the one column that each of the n agents has at rho = 1."""
+    np.maximum(excess, 0.0, out=excess)
+    if excess.shape[1] == n:
+        _row_sums(excess, out)
+    else:
+        _repeated_sums(excess[:, 0], n, out)
 
 
 def _totals(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -547,8 +547,8 @@ class TestFloatRange:
         assert "profit = inf" in message
 
     @pytest.mark.parametrize("n,market,shown", [
-        (4, MarketParams(r=1, c=0.5, nu=0, t=0.2, mu=0, sigma=1e308, rho=0),
-         "x_opt = 0.0, profit = -9.574614729634385e+307, transshipment = inf"),
+        (9, MarketParams(r=0.1, c=0.05, nu=0, t=0.02, mu=0, sigma=1e308, rho=0),
+         "x_opt = 0.0, profit = -1.6755575776860177e+307, transshipment = inf"),
         (1, MarketParams(r=1, c=0.3, nu=0, t=0.2, mu=1.5e308, sigma=1e308, rho=0),
          "x_opt = inf, profit = 7.023073857999261e+307, transshipment = 0.0"),
     ], ids=["transshipment", "x_opt"])
@@ -557,27 +557,51 @@ class TestFloatRange:
             solve_optimal_quantity(n, market)
         assert str(info.value) == f"the solution at n = {n} overflows the float range: {shown}"
 
-    @pytest.mark.parametrize("call,shown", [
-        (lambda n, market: expected_profit(100.0, n, market), "the expected profit at x = 100.0"),
-        (lambda n, market: expected_transshipment(0.0, n, market),
-         "the expected transshipment at y = 0.0"),
+    @pytest.mark.parametrize("call,n,shown", [
+        (lambda n, market: expected_profit(100.0, n, market), 10**307,
+         "the expected profit at x = 100.0, n = 1e+307"),
+        # about 7.98 n, so 8e307 at n = 10**307 still fits
+        (lambda n, market: expected_transshipment(0.0, n, market), 10**308,
+         "the expected transshipment at y = 0.0, n = 1e+308"),
     ], ids=["expected_profit", "expected_transshipment"])
-    def test_closed_form_past_the_float_range(self, call, shown):
+    def test_closed_form_past_the_float_range(self, call, n, shown):
         assert math.isfinite(call(10**305, MEAN_GAME))
         with pytest.raises(ParameterError) as info:
-            call(10**307, MEAN_GAME)
-        assert str(info.value) == f"{shown}, n = 1e+307 overflows the float range: inf"
+            call(n, MEAN_GAME)
+        assert str(info.value) == f"{shown} overflows the float range: inf"
 
     @pytest.mark.parametrize("call,shown", [
         (lambda market: expected_profit(1e308, 4, market),
          "the expected profit at x = 1e+308, n = 4 overflows the float range: -inf"),
-        (lambda market: expected_transshipment(0.0, 4, market),
-         "the expected transshipment at y = 0.0, n = 4 overflows the float range: inf"),
+        (lambda market: expected_transshipment(0.0, 9, market),
+         "the expected transshipment at y = 0.0, n = 9 overflows the float range: inf"),
     ], ids=["expected_profit", "expected_transshipment"])
     def test_closed_form_past_the_float_range_at_a_few_agents(self, call, shown):
         with pytest.raises(ParameterError) as info:
             call(MarketParams(r=1, c=0.5, nu=0, t=0.2, mu=0, sigma=1e308, rho=0))
         assert str(info.value) == shown
+
+    def test_transshipment_that_fits_where_n_sigma_does_not(self):
+        # 4 * 1e308 overflows, but the amount 4 sigma phi(0) (1 - 1/L_4) is
+        # 7.98e307, and the solve at 4 agents, whose profit fits too, succeeds
+        market = MarketParams(r=1, c=0.5, nu=0, t=0.2, mu=0, sigma=1e308, rho=0)
+        amount = 4 * (1e308 * (cdf_antiderivative(0.0) - cdf_antiderivative(0.0) / 2.0))
+        assert amount == 7.978845608028655e+307
+        assert expected_transshipment(0.0, 4, market) == amount
+        assert expected_transshipment(-0.0, 4, market) == amount
+        assert solve_optimal_quantity(4, market).transshipment == amount
+
+    def test_finite_transshipment_keeps_its_bits(self):
+        # n * sigma first, as before the overflow fallback, wherever that is finite
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            params = random_market_params(rng, rho_range=(0.0, 1.0))
+            n = int(rng.integers(1, 10**6))
+            y = float(rng.uniform(-8.0, 8.0))
+            L = pooling_factor(n, params.rho)
+            width = cdf_antiderivative(-abs(y)) - cdf_antiderivative(-abs(y) * L) / L
+            value = n * params.sigma * width
+            assert expected_transshipment(y, n, params) == (value if value > 0.0 else 0.0)
 
     def test_large_finite_solution_is_kept(self):
         res = solve_optimal_quantity(10**305, MEAN_GAME)

@@ -78,13 +78,14 @@ class TestSolve:
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_solution_past_the_float_range_exits_with_one_line(self, capsys, fmt):
-        # profit and transshipment were inf, which --format json wrote as Infinity
+        # the profit was inf, which --format json wrote as Infinity; the
+        # transshipment fits
         code, text = run_cli(["solve", *MEAN_ARGS, "--n", str(10**307), "--format", fmt])
         assert (code, text) == (1, "")
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: the solution at n = 1e+307 overflows the float range: "
-                              "x_opt = 100.0, profit = inf, transshipment = inf")
+                              "x_opt = 100.0, profit = inf, transshipment = 7.978845608028654e+307")
 
     def test_csv_round_trip(self):
         code, text = run_cli(["solve", *MEAN_ARGS, "--n", "3", "--format", "csv"])
@@ -341,8 +342,8 @@ class TestSimulate:
         assert "inf" not in path.read_text()
 
     def test_closed_forms_that_overflow_exit_before_sampling(self, tmp_path, capsys):
-        # At four agents the profit and the transshipment pass the float
-        # maximum too, so the solve refuses before anything is drawn.
+        # At four agents the profit passes the float maximum too, so the
+        # solve refuses before anything is drawn.
         args = [{"100": "0", "20": "1e308"}.get(a, a) for a in MEAN_ARGS]
         path = tmp_path / "draws.csv"
         code, text = run_cli(["simulate", *args, "--n", "4", "--count", "100",
@@ -350,7 +351,7 @@ class TestSimulate:
         assert (code, text) == (1, "")
         assert capsys.readouterr().err == (
             "error: the solution at n = 4 overflows the float range: "
-            "x_opt = 0.0, profit = -inf, transshipment = inf\n")
+            "x_opt = 0.0, profit = -inf, transshipment = 7.978845608028655e+307\n")
         assert not path.exists()
 
 

@@ -50,6 +50,21 @@ def reference_profits(x, demands, params):
     return stage_one + recourse
 
 
+def reference_totals(x, demands):
+    """numpy's row sums of the surplus and shortage over the n-wide matrix."""
+    return (np.maximum(x - demands, 0.0).sum(axis=1),
+            np.maximum(demands - x, 0.0).sum(axis=1))
+
+
+def reference_pooled_profits(x, demands, params):
+    """Per-scenario profit by the estimator's own formula from reference_totals:
+    the oracle the estimators must match bit for bit."""
+    surplus, shortage = reference_totals(x, demands)
+    profit = demands.shape[1] * x * (params.r - params.c) - (params.r - params.nu) * surplus
+    profit += validate_params(params).p * np.minimum(surplus, shortage)
+    return profit
+
+
 def reference_transshipments(x, demands):
     return np.minimum(np.maximum(x - demands, 0.0).sum(axis=1),
                       np.maximum(demands - x, 0.0).sum(axis=1))
@@ -457,6 +472,62 @@ class TestEstimatorKernel:
             assert est.count == samples.count
             assert est.mean == pytest.approx(mean, rel=1e-12)
             assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 7, 8, 128])
+    @pytest.mark.parametrize("rho_kind", ["lower", "0", "0.5", "1"])
+    def test_bit_identical_to_the_n_wide_reduction(self, n, rho_kind, read_first):
+        # The column sums below 8 agents and the narrow pass at rho = 1 give
+        # the bits of numpy's row sums over the whole matrix.
+        rho = near_lower_rho(n) if rho_kind == "lower" else float(rho_kind)
+        params = MarketParams(r=10, c=6, nu=2, t=2, mu=100, sigma=20, rho=rho)
+        samples = sample_demands(n, 100, 20, rho, 5_001, seed=18)
+        scenarios = sample_demands(n, 100, 20, rho, 5_001, seed=18).scenarios
+        if read_first:
+            samples.scenarios
+        for x in (103.0, 60.0, 140.0):
+            for est, values in (
+                (estimate_profit(x, samples, params),
+                 reference_pooled_profits(x, scenarios, params)),
+                (estimate_transshipment(x, samples),
+                 reference_transshipments(x, scenarios)),
+            ):
+                mean, std_error = reference_estimate(values)
+                assert (est.mean.hex(), est.std_error.hex()) == \
+                    (float(mean).hex(), float(std_error).hex())
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize("n", [2, 7, 8, 128, 300])
+    @pytest.mark.parametrize("mu", [100.0, 0.0])
+    def test_perfect_correlation_never_reduces_an_n_wide_block(self, monkeypatch, n, mu,
+                                                               read_first):
+        # Every block the totals see, and every row sum taken, is one column
+        # wide; mu = 0 takes the row means in the draw too.
+        widths = []
+        row_sums, add_up = simulation._row_sums, simulation._add_up
+
+        def recorded_row_sums(block, out):
+            widths.append(block.shape[1])
+            return row_sums(block, out)
+
+        def recorded_add_up(excess, agents, out):
+            widths.append(excess.shape[1])
+            return add_up(excess, agents, out)
+
+        samples = sample_demands(n, mu, 20, 1.0, 3_001, seed=29)
+        scenarios = sample_demands(n, mu, 20, 1.0, 3_001, seed=29).scenarios
+        if read_first:
+            samples.scenarios
+        monkeypatch.setattr(simulation, "_row_sums", recorded_row_sums)
+        monkeypatch.setattr(simulation, "_add_up", recorded_add_up)
+        x = mu + 3.0
+        moved = estimate_transshipment(x, samples)
+        assert widths and set(widths) == {1}
+        surplus, shortage = simulation._totals(x, samples)
+        expected = reference_totals(x, scenarios)
+        assert surplus.tobytes() == expected[0].tobytes()
+        assert shortage.tobytes() == expected[1].tobytes()
+        assert (moved.mean, moved.std_error) == (0.0, 0.0)
 
     @pytest.mark.parametrize("n", [1, 7, 128])
     def test_block_size_does_not_change_estimates(self, monkeypatch, n):
@@ -1012,13 +1083,77 @@ class TestProfitKernel:
 
 
 class TestScenarioDump:
-    def test_round_trip_full_precision(self, tmp_path):
-        samples = sample_demands(3, 100, 20, 0.2, 50, seed=14)
+    # perfbench dumps only at 0 < |rho| < 1, so tier-1 covers rho = 0, the
+    # lower edge and rho = 1, where the draw takes its other paths
+    @pytest.mark.parametrize("n", [1, 3, 7, 128])
+    @pytest.mark.parametrize("rho_kind", ["0", "lower", "0.2", "1"])
+    def test_round_trip_full_precision(self, tmp_path, n, rho_kind):
+        rho = near_lower_rho(n) if rho_kind == "lower" else float(rho_kind)
+        samples = sample_demands(n, 100, 20, rho, 50, seed=14)
         path = tmp_path / "scenarios.csv"
         dump_scenarios(samples, path)
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
-        assert rows[0] == ["scenario_id", "D_1", "D_2", "D_3"]
+        assert rows[0] == ["scenario_id"] + [f"D_{j}" for j in range(1, n + 1)]
         assert len(rows) == 51
+        assert [row[0] for row in rows[1:]] == [str(i) for i in range(50)]
         parsed = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-        assert np.array_equal(parsed, samples.scenarios)
+        assert parsed.tobytes() == samples.scenarios.tobytes()
+
+
+class TestNumpySummationOrder:
+    """_row_sums and _repeated_sums give numpy's own row sums bit for bit, by
+    following its pairwise summation order; the estimators' bits rest on it."""
+
+    @staticmethod
+    def assert_same_bits(got, expected, what):
+        assert np.array_equal(got, expected) and \
+            np.array_equal(np.signbit(got), np.signbit(expected)), (
+                f"{what}: numpy's summation order changed, so the estimators' sums no longer "
+                f"reproduce ndarray.sum(axis=1)")
+
+    @staticmethod
+    def column():
+        """Values across the float range, with signed zeros, subnormals and
+        infinities, which a sum of copies keeps finite or not as numpy does."""
+        rng = np.random.default_rng(42)
+        values = rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)
+        values[:8] = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, 1e308, 2.5]
+        return values
+
+    def test_row_sums(self):
+        rng = np.random.default_rng(41)
+        for n in range(1, 301):
+            block = rng.standard_normal((48, n)) * 10.0 ** rng.integers(-8, 8, (48, n))
+            block[0] = -0.0
+            block[1] = 0.0
+            block[2, ::2] = -0.0
+            block[3, 1:] = -0.0
+            block[4] = -block[4]
+            self.assert_same_bits(simulation._row_sums(block, np.empty(48)),
+                                  block.sum(axis=1), f"_row_sums at n = {n}")
+
+    def test_mean_is_the_row_sum_over_n(self):
+        # the draw forms each row mean as _row_sums(...) / k
+        rng = np.random.default_rng(43)
+        for n in range(1, 200):
+            block = rng.standard_normal((48, n))
+            self.assert_same_bits(block.sum(axis=1) / n, block.mean(axis=1),
+                                  f"ndarray.mean at n = {n}")
+
+    def check_repeated_sums(self, n):
+        values = self.column()
+        with np.errstate(over="ignore"):
+            got = simulation._repeated_sums(values, n, np.empty(values.shape[0]))
+            broadcast = np.broadcast_to(values[:, None], (values.shape[0], n)).sum(axis=1)
+            repeated = np.repeat(values[:, None], n, axis=1).sum(axis=1)
+        self.assert_same_bits(got, broadcast, f"_repeated_sums at n = {n}")
+        self.assert_same_bits(got, repeated, f"_repeated_sums at n = {n}, contiguous")
+
+    @pytest.mark.parametrize("n", [8, 127, 128, 129, 136, 256, 257, 1024])
+    def test_repeated_sums_where_numpy_splits(self, n):
+        self.check_repeated_sums(n)
+
+    def test_repeated_sums_up_to_1100(self):
+        for n in range(1, 1101):
+            self.check_repeated_sums(n)
