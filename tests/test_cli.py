@@ -469,6 +469,7 @@ class TestConfigFile:
 MARKET = ["--r", "10", "--c", "8", "--nu", "2", "--t", "1",
           "--mu", "100", "--sigma", "20", "--rho", "0.3"]
 MARKET_RHO0 = [*MARKET[:-1], "0"]
+MARKET_RHO1 = [*MARKET[:-1], "1"]
 GOLDEN_FILES = {
     "market.cfg": "r=10\nc=8\nnu=2\nt=1\nmu=100\nsigma=20\nrho=0.3\n",
     "surplus.csv": "agent,H,E\n1,1.5,0\n2,1,0\n3,0,1\n4,0,2\n",
@@ -485,6 +486,7 @@ GOLDEN_COMMANDS = {
     "sweep-n-rho": ["sweep", "--over", "n", "--from", "2", "--to", "5", *MARKET],
     "limits": ["limits", *UNDER_ARGS, "--t", "6"],
     "simulate": ["simulate", *MARKET, "--n", "3", "--count", "200", "--seed", "7"],
+    "simulate-rho1": ["simulate", *MARKET_RHO1, "--n", "128", "--count", "200", "--seed", "7"],
     "core-check": ["core-check", *MARKET_RHO0, "--n", "6"],
     "recourse": RECOURSE,
 }
