@@ -23,6 +23,7 @@ from .game_model import (
     GameType,
     MarketParams,
     ParameterError,
+    _check_size,
     _fractile_quantile,
     classify_game,
     pooling_factor,
@@ -237,6 +238,7 @@ def _solve_sizes(params: MarketParams,
 
 def solve_optimal_quantity(n: int, params: MarketParams) -> SolveResult:
     """Solve the size-n coalition problem and evaluate all closed forms at it."""
+    _check_size(n)
     _, (result,) = _solve_sizes(params, range(n, n + 1))
     return result
 
@@ -359,6 +361,7 @@ def finite_rho_limit_diagnostic(params: MarketParams) -> float:
 
 def quantity_sequence(params: MarketParams, n_max: int) -> tuple[list[SolveResult], SequenceReport]:
     """Solve for n = 1..n_max and report the monotonicity of {Y_n} and {L_n Y_n}."""
+    _check_size(n_max)
     econ, results = _solve_sizes(params, range(1, n_max + 1))
     results = list(results)
     game_type = classify_game(econ)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,19 +144,48 @@ def _fractile_quantile(econ: DerivedEconomics) -> float:
     return std_inv_cdf(econ.R)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_size(n) -> None:
+    """A one-line ParameterError unless the coalition size n is an integer
+    (bools are not)."""
+    if not _is_integer(n):
+        raise ParameterError(f"coalition size n must be an integer, got {n!r}")
+
+
 def pooling_factor(n: int, rho: float) -> float:
     """Risk-pooling factor L_n = sqrt(n / (1 + (n-1)*rho)); L_1 = 1.
 
-    Requires rho > -1/(n-1) for n >= 2 (positive-definite equicorrelation),
-    rho <= 1, and an n no larger than the largest float.
+    Requires an integer n >= 1 no larger than the largest float, a real
+    rho <= 1 that is not nan, and rho > -1/(n-1) for n >= 2
+    (positive-definite equicorrelation); each violation raises a one-line
+    ParameterError. Near that bound 1 + (n-1)*rho cancels, so where it rounds
+    below 1/2 it is formed exactly and rounded once, which also makes the
+    bound check exact.
     """
+    if type(n) is not int:
+        _check_size(n)
+        n = int(n)
     if n < 1:
         raise ParameterError(f"coalition size n must be >= 1, got {n}")
     if n > sys.float_info.max:  # n - 1 and n / denom would overflow
         raise ParameterError(f"coalition size n exceeds the float range (> {sys.float_info.max!r})")
-    if rho > 1.0:
-        raise ParameterError(f"rho = {rho} > 1")
+    if type(rho) is not float:
+        if not _is_real(rho):
+            raise ParameterError(f"rho must be a real number, got {rho!r}")
+        rho = float(rho)
+    if not rho <= 1.0:
+        raise ParameterError(f"rho = {rho} > 1" if rho > 1.0 else "rho must be a real number, got nan")
     denom = 1.0 + (n - 1) * rho
+    if denom < 0.5:
+        num, den = rho.as_integer_ratio()
+        denom = (den + (n - 1) * num) / den  # int division rounds correctly
     if n >= 2 and denom <= 0.0:
         raise ParameterError(
             f"rho = {rho} <= -1/(n-1) = {-1.0 / (n - 1)}: "

@@ -19,7 +19,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .analytic_solver import _profit_at
-from .game_model import MarketParams, ParameterError, pooling_factor, validate_params
+from .game_model import (
+    MarketParams,
+    ParameterError,
+    _is_integer,
+    _is_real,
+    pooling_factor,
+    validate_params,
+)
 from .normal_math import _INV_SQRT_2PI, _SQRT_2
 
 __all__ = [
@@ -52,15 +59,9 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ELEMENTS // n)
 
 
-# numpy's pairwise summation (the float add reduction) adds 0.0 to the
-# pairwise sum of a row. A row of fewer than 8 entries it sums left to right;
-# up to 128 entries it keeps 8 accumulators, entries j, j + 8, ... each, adds
-# them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the last
-# n % 8 entries in turn; a longer row is the sum of its two parts, split at
-# half its length rounded down to a multiple of 8. The two helpers below give
-# its bits at a fraction of its cost per row.
+# numpy sums a row of fewer than 8 entries left to right; wider rows it
+# sums pairwise.
 _PAIRWISE_UNROLL = 8
-_PAIRWISE_BLOCK = 128
 
 
 def _row_sums(block: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -79,52 +80,6 @@ def _row_sums(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _repeated_sums(column: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """The row sums of n copies of `column` side by side, bit for bit as
-    numpy sums them (np.broadcast_to(column[:, None], (m, n)).sum(axis=1)),
-    into `out`, in O(log n + 24) passes over the column rather than n.
-
-    The 8 accumulators of a row of at most 128 equal entries are the same
-    sum, so their total is 8 times one of them, exactly; longer rows are
-    split as numpy splits them, and each part length is summed once.
-    """
-    # numpy's 0.0 start turns a -0.0 total into 0.0
-    return np.add(_pairwise_repeats(column, n, {}), 0.0, out=out)
-
-
-def _pairwise_repeats(column: np.ndarray, k: int, parts: dict) -> np.ndarray:
-    """numpy's pairwise sum of k copies of `column`; `parts` holds the sums
-    already formed, by length."""
-    if k in parts:
-        return parts[k]
-    if k > _PAIRWISE_BLOCK:
-        half = k // 2
-        half -= half % _PAIRWISE_UNROLL
-        total = _pairwise_repeats(column, half, parts) + _pairwise_repeats(column, k - half, parts)
-    elif k < _PAIRWISE_UNROLL:
-        total = column.copy()
-        for _ in range(k - 1):
-            total += column
-    else:
-        total = column.copy()
-        for _ in range(k // _PAIRWISE_UNROLL - 1):
-            total += column
-        for _ in range(3):  # ((r0 + r1) + (r2 + r3)) + (...), all r equal
-            total += total
-        for _ in range(k % _PAIRWISE_UNROLL):
-            total += column
-    parts[k] = total
-    return total
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True, eq=False, kw_only=True)
 class DemandMatrix:
     """Joint demand scenarios: `count` rows of draws, one column per agent.
@@ -137,8 +92,9 @@ class DemandMatrix:
     O(block + count) memory and never the count x n matrix. Reading
     `scenarios` draws the whole matrix once and keeps it, read-only; later
     passes then walk it instead of drawing again. Every pass gives the same
-    bits, fixed by the seed. At rho = 1 the estimators' passes are narrow:
-    they draw, or walk, only the one column every agent shares.
+    bits, fixed by the seed. At rho = 1 every agent sees one demand, so a
+    pass draws, or walks, only that column; `scenarios` and `dump_scenarios`
+    repeat it into the n columns.
 
     An instance holds the per-scenario totals of the last x the estimators
     reduced it at, so estimating the profit and the transshipment at one x
@@ -190,34 +146,32 @@ class DemandMatrix:
                             ("sigma", float(sigma)), ("rho_target", float(rho))):
             object.__setattr__(self, name, value)
 
-    def _width(self, narrow: bool) -> int:
-        """Columns in a block of a pass: n, or 1 when the pass is `narrow`
-        and rho = 1, where every column is the same demand."""
-        return 1 if narrow and self.rho_target == 1.0 else self.n
+    @property
+    def _k(self) -> int:
+        """Normals drawn per scenario, and the columns of every block a pass
+        sees: 1 at rho = 1, where every agent has the same demand, else n."""
+        return 1 if self.rho_target == 1.0 else self.n
 
-    def _draw(self, out: Optional[np.ndarray] = None, narrow: bool = False):
-        """Yield (first row, block) over the scenarios, in order, in blocks of
-        about _BLOCK_ELEMENTS entries.
+    def _draw(self, out: Optional[np.ndarray] = None):
+        """Yield (first row, block) over the count x k scenarios, in order, in
+        blocks of about _BLOCK_ELEMENTS entries.
 
         Per scenario D = mu + scale * Z + weight * Zbar, with Z drawn from
         Philox keyed by the seed, k normals per scenario. Each block is drawn
-        and transformed in place: into its rows of `out` when given, else into
-        one reused buffer that the next step overwrites. Philox's ziggurat
-        normals use a variable number of counters, so the blocks come in order
-        from one generator, which reproduces the stream of a single count x k
-        draw bit for bit. Each row mean is the row's sum (see _row_sums)
-        divided by k, as ndarray.mean forms it, over its own row, so the
-        result does not depend on the block size. Overflow gives inf entries
-        silently, for the caller to reject.
+        and transformed in place: into its rows of `out` (count x k) when
+        given, else into one reused buffer that the next step overwrites.
+        Philox's ziggurat normals use a variable number of counters, so the
+        blocks come in order from one generator, which reproduces the stream
+        of a single count x k draw bit for bit. Each row mean is the row's sum
+        (see _row_sums) divided by k, as ndarray.mean forms it, over its own
+        row, so the result does not depend on the block size. Overflow gives
+        inf entries silently, for the caller to reject.
 
         At rho = 1 every column is the same demand, so k = 1: the column is
         drawn as a single agent's (a = b = 1), which makes the stream that of
-        n = 1 for the same mu, sigma, count and seed. A `narrow` pass gets
-        that column itself, in blocks of about _BLOCK_ELEMENTS rows; any other
-        pass gets it broadcast into the n columns. Otherwise k = n.
+        n = 1 for the same mu, sigma, count and seed. Otherwise k = n.
         """
-        n, count, mu = self.n, self.count, self.mu
-        k, width = self._width(narrow=True), self._width(narrow)
+        count, mu, k = self.count, self.mu, self._k
         # A single agent has no pairwise correlation, so rho drops out (a = b = 1).
         a = math.sqrt(1.0 - self.rho_target) if k > 1 else 1.0
         b = math.sqrt(1.0 + (k - 1) * self.rho_target)
@@ -227,30 +181,25 @@ class DemandMatrix:
         # zero entry follows the sign of its row mean, so a zero mu takes the
         # full form.
         factor = weight != 0.0 or mu == 0.0
-        rows = min(_block_rows(width), count)
+        rows = min(_block_rows(k), count)
         rng = np.random.Generator(np.random.Philox(key=self.seed))
-        buffer = np.empty((rows, width)) if out is None else None
-        # Drawn apart when the k columns are broadcast into a wider block.
-        column = np.empty((rows, k)) if k < width else None
+        buffer = np.empty((rows, k)) if out is None else None
         means = np.empty(rows) if factor else None
         for lo in range(0, count, rows):
             size = min(rows, count - lo)
             block = buffer[:size] if out is None else out[lo:lo + size]
-            drawn = block if column is None else column[:size]
-            rng.standard_normal(out=drawn)
+            rng.standard_normal(out=block)
             with np.errstate(over="ignore", invalid="ignore"):
                 if factor:
-                    shift = _row_sums(drawn, means[:size])
+                    shift = _row_sums(block, means[:size])
                     shift /= k
                     shift *= weight
                     shift += mu
-                    drawn *= scale
-                    drawn += shift[:, np.newaxis]
+                    block *= scale
+                    block += shift[:, np.newaxis]
                 else:
-                    drawn *= scale
-                    drawn += mu
-            if column is not None:
-                block[...] = drawn
+                    block *= scale
+                    block += mu
             yield lo, block
 
     def _finite(self, lo: int, block: np.ndarray) -> np.ndarray:
@@ -269,22 +218,24 @@ class DemandMatrix:
 
         Entries that overflow raise ValueError.
         """
-        matrix = np.empty((self.count, self.n))
+        matrix = np.empty((self.count, self._k))
         for lo, block in self._draw(out=matrix):
             self._finite(lo, block)
+        if self._k < self.n:
+            matrix = np.repeat(matrix, self.n, axis=1)
         matrix.flags.writeable = False
         return matrix
 
-    def _blocks(self, narrow: bool = False):
-        """(first row, block) over the scenarios: slices of `scenarios` once it
-        has been read, else fresh draws into one reused buffer. A `narrow`
-        pass at rho = 1 gets one column, the demand every agent sees."""
+    def _blocks(self):
+        """(first row, block) over the count x k scenarios: slices of
+        `scenarios` once it has been read, else fresh draws into one reused
+        buffer. At rho = 1 a block is the one column every agent sees."""
         matrix = vars(self).get("scenarios")
         if matrix is None:
-            return self._draw(narrow=narrow)
-        width = self._width(narrow)
-        rows = _block_rows(width)
-        return ((lo, matrix[lo:lo + rows, :width]) for lo in range(0, self.count, rows))
+            return self._draw()
+        k = self._k
+        rows = _block_rows(k)
+        return ((lo, matrix[lo:lo + rows, :k]) for lo in range(0, self.count, rows))
 
 
 @dataclass(frozen=True)
@@ -331,20 +282,19 @@ def _surplus_shortage(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.n
 
     Reduces each block of the scenarios through one reused scratch buffer
     while the block is still in cache, each row on its own, so the totals do
-    not depend on the block size. The totals are bit for bit the row sums
-    ndarray.sum forms over the n-wide block: short rows are summed column by
-    column (_row_sums), and at rho = 1 the pass is narrow and never forms the
-    n-wide block: the one column's max(x - D, 0) and max(D - x, 0) are
-    summed n times over in numpy's order (_repeated_sums). Overflow gives
-    inf or nan silently, for the caller to reject.
+    not depend on the block size. At rho < 1 the totals are bit for bit the
+    row sums ndarray.sum forms (see _row_sums). At rho = 1 a block is the one
+    column every agent sees, so each agent has the same h = max(x - D, 0)
+    and e = max(D - x, 0), and the totals are n * h and n * e, each one
+    multiply, correctly rounded. Overflow gives inf or nan silently, for the
+    caller to reject.
     """
-    count, n = samples.count, samples.n
-    width = samples._width(narrow=True)
+    count, n, k = samples.count, samples.n, samples._k
     surplus = np.empty(count)
     shortage = np.empty(count)
-    buffer = np.empty((min(_block_rows(width), count), width))
+    buffer = np.empty((min(_block_rows(k), count), k))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, block in samples._blocks(narrow=True):
+        for lo, block in samples._blocks():
             hi = lo + block.shape[0]
             scratch = buffer[:block.shape[0]]
             np.subtract(x, block, out=scratch)
@@ -356,12 +306,12 @@ def _surplus_shortage(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.n
 
 def _add_up(excess: np.ndarray, n: int, out: np.ndarray) -> None:
     """`out` = the row sums of max(excess, 0) over n agents; `excess` holds
-    n columns, or the one column that each of the n agents has at rho = 1."""
+    n columns, or at rho = 1 the one column all n agents share, whose sum is
+    n times it (+0.0 for a zero, as _row_sums starts from 0.0)."""
     np.maximum(excess, 0.0, out=excess)
-    if excess.shape[1] == n:
-        _row_sums(excess, out)
-    else:
-        _repeated_sums(excess[:, 0], n, out)
+    _row_sums(excess, out)
+    if excess.shape[1] < n:
+        out *= n
 
 
 def _totals(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -524,13 +474,14 @@ def dump_scenarios(samples: DemandMatrix, path: Union[str, Path]) -> None:
     """Write scenarios to CSV (scenario_id, D_1..D_n) at full precision.
 
     Rows are written block by block, so scenarios that were never read are
-    drawn as they are written and never held whole. A block with a
-    non-finite entry raises ValueError, and the file then holds the rows
-    before it.
+    drawn as they are written and never held whole; at rho = 1 each row's one
+    demand is formatted once and written n times. A block with a non-finite
+    entry raises ValueError, and the file then holds the rows before it.
     """
+    repeats = samples.n // samples._k
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["scenario_id"] + [f"D_{j + 1}" for j in range(samples.n)])
         for lo, block in samples._blocks():
-            writer.writerows([lo + i] + [repr(d) for d in row]
+            writer.writerows([lo + i] + [repr(d) for d in row] * repeats
                              for i, row in enumerate(samples._finite(lo, block).tolist()))

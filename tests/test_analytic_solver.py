@@ -18,6 +18,7 @@ from transship.analytic_solver import (
     quantity_sequence,
     solve_optimal_quantity,
 )
+from transship.core_analysis import characteristic_values, check_equal_allocation_core
 from transship.game_model import (
     GameType,
     MarketParams,
@@ -26,6 +27,7 @@ from transship.game_model import (
     validate_params,
 )
 from transship.normal_math import cdf_antiderivative, std_cdf, std_inv_cdf, std_pdf
+from transship.simulation import brute_force_optimal
 
 MEAN_GAME = MarketParams(r=10, c=6, nu=2, t=2, mu=100, sigma=20, rho=0)
 OVER_GAME = MarketParams(r=10, c=4, nu=2, t=1, mu=100, sigma=20, rho=0)   # R = 0.75
@@ -519,6 +521,34 @@ class TestSizeCap:
         for n in (10**12, 10**15):
             res = solve_optimal_quantity(n, OVER_GAME)
             assert res.n == n and res.residual <= 1e-12
+
+
+class TestSizeType:
+    # Each entry point rejects a coalition size that is not an integer with a
+    # one-line ParameterError, before any range is built or any solve runs.
+    ENTRY_POINTS = {
+        "expected_profit": lambda n: expected_profit(100.0, n, UNDER_T2),
+        "expected_transshipment": lambda n: expected_transshipment(0.0, n, UNDER_T2),
+        "optimality_residual": lambda n: optimality_residual(0.0, n, validate_params(UNDER_T2),
+                                                             0.3),
+        "solve_optimal_quantity": lambda n: solve_optimal_quantity(n, UNDER_T2),
+        "equal_allocation": lambda n: equal_allocation(n, UNDER_T2),
+        "quantity_sequence": lambda n: quantity_sequence(UNDER_T2, n),
+        "characteristic_values": lambda n: characteristic_values(UNDER_T2, n),
+        "check_equal_allocation_core": lambda n: check_equal_allocation_core(UNDER_T2, n),
+        "brute_force_optimal": lambda n: brute_force_optimal(UNDER_T2, n, 6.0, 101),
+    }
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_a_size_that_is_not_an_integer(self, entry, n):
+        with pytest.raises(ParameterError) as info:
+            self.ENTRY_POINTS[entry](n)
+        assert str(info.value) == f"coalition size n must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_accepts_numpy_integers(self, entry):
+        assert self.ENTRY_POINTS[entry](np.int64(3)) == self.ENTRY_POINTS[entry](3)
 
 
 class TestFloatRange:

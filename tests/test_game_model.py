@@ -1,3 +1,4 @@
+import fractions
 import math
 import sys
 
@@ -150,6 +151,61 @@ class TestPoolingFactor:
 
     def test_negative_rho_inside_bound(self):
         assert pooling_factor(5, -0.2) == pytest.approx(math.sqrt(5 / 0.2), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, "3", None])
+    def test_rejects_a_size_that_is_not_an_integer(self, n):
+        with pytest.raises(ParameterError) as info:
+            pooling_factor(n, 0.3)
+        assert str(info.value) == f"coalition size n must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize("rho", [math.nan, np.nan, "0.3", None, True, 0.3j])
+    def test_rejects_a_correlation_that_is_not_a_real_number(self, rho):
+        with pytest.raises(ParameterError) as info:
+            pooling_factor(3, rho)
+        assert str(info.value) == f"rho must be a real number, got {rho!r}"
+
+    def test_accepts_numpy_and_exact_numbers(self):
+        assert pooling_factor(np.int64(4), np.float64(0.0)) == 2.0
+        assert pooling_factor(4, 0) == pooling_factor(4, fractions.Fraction(0)) == 2.0
+        assert pooling_factor(np.int32(7), np.float32(0.25)) == pooling_factor(7, 0.25)
+        near_bound = -1.0 / 999 + 1e-13  # its exact sum is formed in Python ints
+        assert pooling_factor(np.int64(1000), near_bound) == pooling_factor(1000, near_bound)
+
+    @pytest.mark.parametrize("n,gap", [(1000, 1e-10), (1000, 1e-13), (10**6, 1e-13)])
+    def test_accurate_near_the_lower_bound(self, n, gap):
+        # 1 + (n - 1) rho cancels as rho nears -1/(n - 1); formed exactly and
+        # rounded once, then divided and square-rooted, L_n is within one
+        # rounding of each step: 2**-52 relative.
+        mp = pytest.importorskip("mpmath")
+        rho = -1.0 / (n - 1) + gap
+        with mp.workdps(50):
+            exact = mp.sqrt(n / (1 + (n - 1) * mp.mpf(rho)))
+            error = abs((mp.mpf(pooling_factor(n, rho)) - exact) / exact)
+        assert error <= 2.0**-52
+
+    def test_keeps_its_bits_where_the_sum_is_at_least_a_half(self):
+        rng = np.random.default_rng(5)
+        for n in [*range(1, 60), 1000, 10**6, 10**12]:
+            lower = -1.0 / (n - 1) if n > 1 else -1.0
+            for rho in rng.uniform(lower, 1.0, 40).tolist():
+                denom = 1.0 + (n - 1) * rho
+                if denom >= 0.5:
+                    assert pooling_factor(n, rho) == math.sqrt(n / denom)
+
+    def test_lower_bound_is_decided_exactly(self):
+        # Doubles within 3 ulp of -1/(n - 1) are accepted exactly when
+        # 1 + (n - 1) rho > 0 in exact arithmetic.
+        for n in range(2, 400):
+            rho = -1.0 / (n - 1)
+            for _ in range(3):
+                rho = math.nextafter(rho, -1.0)
+            for _ in range(7):
+                if 1 + (n - 1) * fractions.Fraction(rho) > 0:
+                    assert pooling_factor(n, rho) > 0.0
+                else:
+                    with pytest.raises(ParameterError, match="not positive-definite"):
+                        pooling_factor(n, rho)
+                rho = math.nextafter(rho, 0.0)
 
 
 class TestDemandFeasibility:

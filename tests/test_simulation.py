@@ -50,24 +50,34 @@ def reference_profits(x, demands, params):
     return stage_one + recourse
 
 
-def reference_totals(x, demands):
-    """numpy's row sums of the surplus and shortage over the n-wide matrix."""
+def exact_multiples(values, n):
+    """n times each value, formed exactly and rounded once (+0.0 for a zero)."""
+    return np.array([float(fractions.Fraction(v) * n) for v in values.tolist()])
+
+
+def reference_totals(x, demands, shared=False):
+    """numpy's row sums of the surplus and shortage over the n-wide matrix; with
+    `shared` (rho = 1, every agent sees the first column's demand) n times the
+    first column's surplus and shortage, exactly."""
+    if shared:
+        column, n = demands[:, 0], demands.shape[1]
+        return (exact_multiples(np.maximum(x - column, 0.0), n),
+                exact_multiples(np.maximum(column - x, 0.0), n))
     return (np.maximum(x - demands, 0.0).sum(axis=1),
             np.maximum(demands - x, 0.0).sum(axis=1))
 
 
-def reference_pooled_profits(x, demands, params):
+def reference_pooled_profits(x, demands, params, shared=False):
     """Per-scenario profit by the estimator's own formula from reference_totals:
     the oracle the estimators must match bit for bit."""
-    surplus, shortage = reference_totals(x, demands)
+    surplus, shortage = reference_totals(x, demands, shared)
     profit = demands.shape[1] * x * (params.r - params.c) - (params.r - params.nu) * surplus
     profit += validate_params(params).p * np.minimum(surplus, shortage)
     return profit
 
 
-def reference_transshipments(x, demands):
-    return np.minimum(np.maximum(x - demands, 0.0).sum(axis=1),
-                      np.maximum(demands - x, 0.0).sum(axis=1))
+def reference_transshipments(x, demands, shared=False):
+    return np.minimum(*reference_totals(x, demands, shared))
 
 
 def reference_estimate(values):
@@ -269,7 +279,9 @@ class TestSampleDemands(ArgumentChecks):
     @pytest.mark.parametrize("n,rho_kind", sorted(STREAM_DIGESTS))
     def test_stream_is_block_independent(self, monkeypatch, n, rho_kind, block):
         # Blocks are drawn in order from one generator, so any block size gives
-        # the one-call stream, whether the matrix is read whole or streamed.
+        # the one-call stream, whether the matrix is read whole or streamed. At
+        # rho = 1 the blocks are the one column every agent sees: the n = 1
+        # stream.
         monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block)
         rho = near_lower_rho(n) if rho_kind == "lower" else float(rho_kind)
         streamed = hashlib.sha256()
@@ -278,7 +290,8 @@ class TestSampleDemands(ArgumentChecks):
             streamed.update(part.tobytes())
         samples = sample_demands(n, 100.0, 20.0, rho, 301, seed=41)
         read = hashlib.sha256(samples.scenarios.tobytes())
-        assert streamed.hexdigest() == read.hexdigest() == self.STREAM_DIGESTS[n, rho_kind]
+        assert streamed.hexdigest() == self.STREAM_DIGESTS[1 if rho == 1.0 else n, rho_kind]
+        assert read.hexdigest() == self.STREAM_DIGESTS[n, rho_kind]
 
     @pytest.mark.parametrize("block", [1, 1000, None])
     @pytest.mark.parametrize("sigma", [20.0, 5e-324])
@@ -286,14 +299,16 @@ class TestSampleDemands(ArgumentChecks):
     @pytest.mark.parametrize("n", [2, 7, 128])
     def test_perfect_correlation_is_the_single_agent_stream(self, monkeypatch, n, mu, sigma,
                                                             block):
-        # At rho = 1 each scenario draws one normal, as a single agent does,
-        # and copies it into the n columns; block None keeps the default size.
-        expected = single_agent_columns(n, mu, sigma, 301, seed=41).tobytes()
+        # At rho = 1 each scenario draws one normal, as a single agent does:
+        # the passes see that column, and `scenarios` repeats it into the n
+        # columns; block None keeps the default size.
+        single = sample_demands(1, mu, sigma, 0.0, 301, seed=41).scenarios
         if block is not None:
             monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block)
         streamed = sample_demands(n, mu, sigma, 1.0, 301, seed=41)._blocks()
-        assert b"".join(part.tobytes() for _, part in streamed) == expected
-        assert sample_demands(n, mu, sigma, 1.0, 301, seed=41).scenarios.tobytes() == expected
+        assert b"".join(part.tobytes() for _, part in streamed) == single.tobytes()
+        assert sample_demands(n, mu, sigma, 1.0, 301, seed=41).scenarios.tobytes() == \
+            single_agent_columns(n, mu, sigma, 301, seed=41).tobytes()
 
     @pytest.mark.parametrize("rho,per_scenario", [(1.0, 1), (0.4, 128), (0.0, 128)])
     def test_normals_drawn_per_pass(self, monkeypatch, tmp_path, rho, per_scenario):
@@ -477,9 +492,11 @@ class TestEstimatorKernel:
     @pytest.mark.parametrize("n", [1, 3, 7, 8, 128])
     @pytest.mark.parametrize("rho_kind", ["lower", "0", "0.5", "1"])
     def test_bit_identical_to_the_n_wide_reduction(self, n, rho_kind, read_first):
-        # The column sums below 8 agents and the narrow pass at rho = 1 give
-        # the bits of numpy's row sums over the whole matrix.
+        # The column sums below 8 agents give the bits of numpy's row sums
+        # over the whole matrix; at rho = 1 the totals are n times one
+        # agent's, exactly rounded.
         rho = near_lower_rho(n) if rho_kind == "lower" else float(rho_kind)
+        shared = rho_kind == "1"
         params = MarketParams(r=10, c=6, nu=2, t=2, mu=100, sigma=20, rho=rho)
         samples = sample_demands(n, 100, 20, rho, 5_001, seed=18)
         scenarios = sample_demands(n, 100, 20, rho, 5_001, seed=18).scenarios
@@ -488,9 +505,9 @@ class TestEstimatorKernel:
         for x in (103.0, 60.0, 140.0):
             for est, values in (
                 (estimate_profit(x, samples, params),
-                 reference_pooled_profits(x, scenarios, params)),
+                 reference_pooled_profits(x, scenarios, params, shared)),
                 (estimate_transshipment(x, samples),
-                 reference_transshipments(x, scenarios)),
+                 reference_transshipments(x, scenarios, shared)),
             ):
                 mean, std_error = reference_estimate(values)
                 assert (est.mean.hex(), est.std_error.hex()) == \
@@ -524,10 +541,32 @@ class TestEstimatorKernel:
         moved = estimate_transshipment(x, samples)
         assert widths and set(widths) == {1}
         surplus, shortage = simulation._totals(x, samples)
-        expected = reference_totals(x, scenarios)
+        expected = reference_totals(x, scenarios, shared=True)
         assert surplus.tobytes() == expected[0].tobytes()
         assert shortage.tobytes() == expected[1].tobytes()
         assert (moved.mean, moved.std_error) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize("mu,sigma", [(100.0, 20.0), (-0.0, 20.0), (-0.0, 5e-324)])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 11, 57, 127, 128, 129, 257, 1000, 1100])
+    def test_perfect_correlation_totals_are_exact(self, n, mu, sigma, read_first):
+        # At rho = 1 every agent has the one demand D, so the totals are
+        # n * max(x - D, 0) and n * max(D - x, 0), rounded once, and a zero
+        # total is +0.0; the quantities give zeros in both totals, and signed
+        # zeros at mu = -0.0.
+        samples = sample_demands(n, mu, sigma, 1.0, 400, seed=44)
+        demand = sample_demands(1, mu, sigma, 0.0, 400, seed=44).scenarios[:, 0]
+        if read_first:
+            samples.scenarios
+        zeros = [0, 0]
+        for x in (-0.0, 0.0, mu, float(demand.min()), float(demand.max()), float(demand[7])):
+            totals = simulation._totals(x, samples)
+            excesses = (np.maximum(x - demand, 0.0), np.maximum(demand - x, 0.0))
+            for j, (total, excess) in enumerate(zip(totals, excesses)):
+                assert total.tobytes() == exact_multiples(excess, n).tobytes()
+                assert not np.signbit(total).any()
+                zeros[j] += int((total == 0.0).sum())
+        assert min(zeros) > 0
 
     @pytest.mark.parametrize("n", [1, 7, 128])
     def test_block_size_does_not_change_estimates(self, monkeypatch, n):
@@ -788,8 +827,8 @@ class TestRecordedEstimates:
     """Regression pins: McEstimate reprs and scenario digests recorded from the
     sampler that drew the whole matrix in one call, except at rho = 1 and
     n > 1. There the scenarios are single_agent_columns of the same mu, sigma,
-    count and seed, and the estimates were recorded by the estimators of that
-    sampler reducing that matrix. Each entry is (n, mu, sigma, rho kind,
+    count and seed, and the estimates were recorded from totals that are n
+    times one agent's, rounded once. Each entry is (n, mu, sigma, rho kind,
     count, seed, xs, the first 32 hex digits of the sha256 of the scenarios,
     and of the profit and transshipment reprs at each x)."""
 
@@ -811,7 +850,7 @@ class TestRecordedEstimates:
         (128, 100.0, 20.0, "lower", 500, 41, (103.0, 60.0),
          "53330e27570a5d9830cff27181cb4439", "1b8810170285dcb40383c214bcc60606"),
         (128, 100.0, 20.0, "1", 300, 9, (140.0, 100.0, 140.0),
-         "69a137de5cc6f3c5a3e044f74803264d", "25ec3c5e1f675519ace763d754d66993"),
+         "69a137de5cc6f3c5a3e044f74803264d", "b969707c7feebe72e58f01dc71ac565f"),
         (3, 100.0, 20.0, "lower", 4097, 123456789, (97.0, 130.0),
          "a26345bcfae5b20774a17057f186302a", "7ff7805b2de3be874b81ef5198b6a081"),
     ]
@@ -1102,8 +1141,9 @@ class TestScenarioDump:
 
 
 class TestNumpySummationOrder:
-    """_row_sums and _repeated_sums give numpy's own row sums bit for bit, by
-    following its pairwise summation order; the estimators' bits rest on it."""
+    """_row_sums gives numpy's own row sums bit for bit, by following its
+    left-to-right order below 8 columns; the estimators' bits at rho < 1 rest
+    on it."""
 
     @staticmethod
     def assert_same_bits(got, expected, what):
@@ -1111,15 +1151,6 @@ class TestNumpySummationOrder:
             np.array_equal(np.signbit(got), np.signbit(expected)), (
                 f"{what}: numpy's summation order changed, so the estimators' sums no longer "
                 f"reproduce ndarray.sum(axis=1)")
-
-    @staticmethod
-    def column():
-        """Values across the float range, with signed zeros, subnormals and
-        infinities, which a sum of copies keeps finite or not as numpy does."""
-        rng = np.random.default_rng(42)
-        values = rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)
-        values[:8] = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, 1e308, 2.5]
-        return values
 
     def test_row_sums(self):
         rng = np.random.default_rng(41)
@@ -1140,20 +1171,3 @@ class TestNumpySummationOrder:
             block = rng.standard_normal((48, n))
             self.assert_same_bits(block.sum(axis=1) / n, block.mean(axis=1),
                                   f"ndarray.mean at n = {n}")
-
-    def check_repeated_sums(self, n):
-        values = self.column()
-        with np.errstate(over="ignore"):
-            got = simulation._repeated_sums(values, n, np.empty(values.shape[0]))
-            broadcast = np.broadcast_to(values[:, None], (values.shape[0], n)).sum(axis=1)
-            repeated = np.repeat(values[:, None], n, axis=1).sum(axis=1)
-        self.assert_same_bits(got, broadcast, f"_repeated_sums at n = {n}")
-        self.assert_same_bits(got, repeated, f"_repeated_sums at n = {n}, contiguous")
-
-    @pytest.mark.parametrize("n", [8, 127, 128, 129, 136, 256, 257, 1024])
-    def test_repeated_sums_where_numpy_splits(self, n):
-        self.check_repeated_sums(n)
-
-    def test_repeated_sums_up_to_1100(self):
-        for n in range(1, 1101):
-            self.check_repeated_sums(n)
