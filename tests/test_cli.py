@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,50 @@ class TestSweep:
             assert code == 0
             records = [json.loads(line) for line in text.splitlines()]
             assert [[rec[key] for key in SWEEP_HEADER] for rec in records] == expected
+
+    def test_over_t_rows_match_single_market_solves(self):
+        rng = np.random.default_rng(41)
+        fixed = [MarketParams(10, 6, 2, 2, 100, 20, 0), MarketParams(10, 8, 2, 1, 100, 20, 0)]
+        for params in fixed + edge_markets(rng, 12):
+            args = [arg for key in PARAM_KEYS if key != "t"
+                    for arg in (f"--{key}", repr(getattr(params, key)))]
+            top = params.r - params.nu
+            for lo, hi in ((0.0, 0.98 * top), (0.95 * top, 0.01 * top)):
+                expected = []
+                for k in range(7):
+                    at_t = replace(params, t=lo + (hi - lo) * k / 6)
+                    res = solve_optimal_quantity(12, at_t)
+                    y_inf = limit_analysis(at_t).y_inf if params.rho == 0.0 else None
+                    expected.append([at_t.t, res.y_opt, res.no_shortage_prob, res.profit,
+                                     res.allocation, res.transshipment, y_inf])
+                argv = ["sweep", "--over", "t", "--from", repr(lo), "--to", repr(hi),
+                        "--steps", "7", "--n", "12", *args, "--format"]
+                code, text = run_cli([*argv, "csv"])
+                assert code == 0
+                rows = list(csv.reader(io.StringIO(text)))[1:]
+                assert rows == [["" if v is None else repr(v) for v in row] for row in expected]
+                code, text = run_cli([*argv, "json"])
+                assert code == 0
+                records = [json.loads(line) for line in text.splitlines()]
+                assert [[rec[key] for key in SWEEP_HEADER] for rec in records] == expected
+
+    def test_over_t_reports_the_first_rows_fault_first(self, capsys):
+        # n = 0 is refused before t = 9 >= r - nu = 8 at the last row
+        code, text = run_cli(["sweep", "--over", "t", "--from", "0", "--to", "9", "--steps", "4",
+                              *UNDER_ARGS, "--n", "0"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == "error: coalition size n must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("lo,hi,bad", [("0", "20", "t = 10.0 >= r - nu = 8.0"),
+                                           ("6", "-6", "t = -3.0 < 0"),
+                                           ("0", "1e308", "t = 2.5e+307 >= r - nu = 8.0")])
+    def test_over_t_names_the_first_t_out_of_range(self, capsys, lo, hi, bad):
+        # The error names the first t outside [0, r - nu), not the last one;
+        # past 1e308 / 3 the later grid points overflow to inf.
+        code, text = run_cli(["sweep", "--over", "t", "--from", lo, "--to", hi, "--steps", "5",
+                              *UNDER_ARGS, "--n", "2"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.startswith(f"error: {bad}")
 
     def test_over_n_size_cap(self, capsys):
         code, text = run_cli(["sweep", "--over", "n", "--from", "1", "--to", "1e12",
