@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Sequence
 
 from .game_model import (
     DerivedEconomics,
@@ -24,6 +24,7 @@ from .game_model import (
     MarketParams,
     ParameterError,
     _check_size,
+    _economics,
     _fractile_quantile,
     classify_game,
     pooling_factor,
@@ -51,7 +52,7 @@ __all__ = [
 # 1e-300 and L up to 1e150 took at most 51.
 _MAX_NEWTON = 100
 _STEP_TOL = 4 * 2.0**-52  # a step of 4 ulp relative to |y| ends the iteration
-# Most coalition sizes one call solves: about 1.6 s of CPU (see README).
+# Most sizes (or sweep steps) one call solves: 1.0 s of CPU for sweep --over n (README).
 _MAX_SIZES = 100_000
 
 
@@ -218,22 +219,31 @@ def _build_result(n: int, q: float, econ: DerivedEconomics, params: MarketParams
     )
 
 
-def _solve_sizes(params: MarketParams,
-                 sizes: range) -> tuple[DerivedEconomics, Iterator[SolveResult]]:
+def _solve_sizes(params: MarketParams, sizes: range, ts: Optional[Sequence[float]] = None
+                 ) -> tuple[DerivedEconomics, Iterator[SolveResult]]:
     """Validate the market once, then solve each size in sizes as it is drawn:
-    the loop behind every SolveResult.
+    the loop behind every SolveResult. Given monotone transport costs ts, it
+    solves the one size in sizes at each t in ts instead of at params.t.
 
     Every check that does not need a solve runs here, before the first result:
-    the market, the size cap, the rho domain at the largest size and
-    Phi^-1(R). A result that overflows the float range raises when it is drawn.
+    the market at the first t, the size cap, the rho domain at the largest size,
+    Phi^-1(R) and the market at the last t (the valid t form an interval). A
+    result that overflows the float range raises when it is drawn.
     """
-    econ = validate_params(params)
+    econ = validate_params(params if ts is None else replace(params, t=ts[0]))
     count = sizes.stop - sizes.start  # len() overflows past 2**63 sizes
     if count > _MAX_SIZES:
         raise ParameterError(f"{count} coalition sizes requested; at most {_MAX_SIZES} per call")
     pooling_factor(sizes.stop - 1, params.rho)  # n >= 1, rho > -1/(n-1): fail before any solve
     q = _fractile_quantile(econ)
-    return econ, (_build_result(n, q, econ, params) for n in sizes)
+    if ts is None:
+        return econ, (_build_result(n, q, econ, params) for n in sizes)
+    try:
+        validate_params(replace(params, t=ts[-1]))
+    except ParameterError:
+        for t in ts:  # name the first t out of range; at the latest ts[-1] raises
+            validate_params(replace(params, t=t))
+    return econ, (_build_result(sizes.start, q, _economics(params, t), params) for t in ts)
 
 
 def solve_optimal_quantity(n: int, params: MarketParams) -> SolveResult:
@@ -307,15 +317,21 @@ def limit_analysis(params: MarketParams) -> LimitResult:
     standardized quantity converges to 0 (the demand mean); at or above it,
     to a bound short of the mean set by the sender/receiver split of t.
     """
-    econ = validate_params(params)
+    validate_params(params)
     if params.rho != 0.0:
         raise UnsupportedRegimeError(
             f"limit analysis requires rho = 0, got rho = {params.rho}; with rho > 0 the "
             "pooling factor stays bounded and the table does not apply "
             "(see finite_rho_limit_diagnostic)"
         )
+    return _limit_at(params, params.t)
+
+
+def _limit_at(params: MarketParams, t: float) -> LimitResult:
+    """limit_analysis at transport cost t, for a rho = 0 market valid at t."""
+    econ = _economics(params, t)
     game_type = classify_game(econ)
-    half_t = 0.5 * params.t
+    half_t = 0.5 * t
     if game_type is GameType.MEAN:
         # Validation forces t < r - nu = 2g when R = 1/2, so the cut is unreachable.
         cut = 2.0 * econ.g
@@ -326,14 +342,14 @@ def limit_analysis(params: MarketParams) -> LimitResult:
             regime, phi_y = Regime.BELOW_CUT, 0.5
             phi_ly = 1.0 - (econ.g_tilde - half_t) / econ.p
         else:
-            regime, phi_y, phi_ly = Regime.AT_OR_ABOVE_CUT, 1.0 - econ.g_tilde / params.t, 1.0
+            regime, phi_y, phi_ly = Regime.AT_OR_ABOVE_CUT, 1.0 - econ.g_tilde / t, 1.0
     else:
         cut = 2.0 * econ.g
         if half_t < econ.g:
             regime, phi_y = Regime.BELOW_CUT, 0.5
             phi_ly = (econ.g - half_t) / econ.p
         else:
-            regime, phi_y, phi_ly = Regime.AT_OR_ABOVE_CUT, econ.g / params.t, 0.0
+            regime, phi_y, phi_ly = Regime.AT_OR_ABOVE_CUT, econ.g / t, 0.0
     return LimitResult(
         game_type=game_type,
         regime=regime,

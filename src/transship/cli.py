@@ -10,7 +10,7 @@ Every subcommand but `recourse` reads the market from one shared parser, and
 every one takes --format. Rows of results go out through one writer: one
 JSON object per row, or a CSV header and one line per row; `table` prints a
 single result as aligned name/value pairs, and `sweep` writes CSV for it.
-`sweep --over n` writes each row as it is solved.
+Both sweeps check their whole range first, then write each row as it is solved.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Iterable, Optional, Sequence
 
 from . import analytic_solver, core_analysis
@@ -78,8 +78,8 @@ def _cmd_solve(args, out) -> int:
     return 0
 
 
-def _limit_column(params: MarketParams) -> Optional[float]:
-    return analytic_solver.limit_analysis(params).y_inf if params.rho == 0.0 else None
+def _limit_column(params: MarketParams, t: float) -> Optional[float]:
+    return analytic_solver._limit_at(params, t).y_inf if params.rho == 0.0 else None
 
 
 def _sweep_row(x: float, res: analytic_solver.SolveResult, y_inf: Optional[float]) -> tuple:
@@ -98,26 +98,22 @@ def _cmd_sweep(args, out) -> int:
         if args.steps < 2:
             raise ParameterError(f"--steps must be >= 2, got {args.steps}")
         if args.steps > analytic_solver._MAX_SIZES:
-            # Every step is a solve and a row, built before anything prints,
-            # because each row checks its own t.
             raise ParameterError(f"--steps {args.steps} requested; at most "
                                  f"{analytic_solver._MAX_SIZES} per call")
         span = args.sweep_to - args.sweep_from
         if not math.isfinite(span):
             raise ParameterError(f"--to - --from must be finite, got {span!r}")
-        markets = (replace(params, t=args.sweep_from + span * k / (args.steps - 1))
-                   for k in range(args.steps))
-        rows = [_sweep_row(at_t.t, analytic_solver.solve_optimal_quantity(args.n, at_t),
-                           _limit_column(at_t)) for at_t in markets]
+        ts = [args.sweep_from + span * k / (args.steps - 1) for k in range(args.steps)]
+        _, results = analytic_solver._solve_sizes(params, range(args.n, args.n + 1), ts)
+        rows = (_sweep_row(t, res, _limit_column(params, t)) for t, res in zip(ts, results))
     else:
         if args.sweep_from != int(args.sweep_from) or args.sweep_to != int(args.sweep_to):
             raise ParameterError("--over n takes integer bounds")
         lo, hi = int(args.sweep_from), int(args.sweep_to)
         if lo < 1 or hi < lo:
             raise ParameterError(f"--over n needs 1 <= from <= to, got {lo}..{hi}")
-        # The whole range is checked here; each row is then written as it is solved.
         _, results = analytic_solver._solve_sizes(params, range(lo, hi + 1))
-        y_inf = _limit_column(params)
+        y_inf = _limit_column(params, params.t)
         rows = (_sweep_row(float(res.n), res, y_inf) for res in results)
     _emit_rows(SWEEP_HEADER, rows, "json" if args.format == "json" else "csv", out)
     return 0
@@ -189,18 +185,24 @@ def _read_surplus_file(path: str) -> SurplusShortage:
                 continue
             if len(row) != 3:
                 raise ParameterError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            surplus.append(float(row[1]))
-            shortage.append(float(row[2]))
+            try:
+                surplus.append(float(row[1]))
+                shortage.append(float(row[2]))
+            except ValueError as exc:
+                raise ParameterError(f"{path}:{lineno}: {exc}") from None
     return SurplusShortage(surplus=tuple(surplus), shortage=tuple(shortage))
 
 
 def _read_profit_file(path: str, n: int) -> list[list[float]]:
     matrix: list[list[float]] = []
     with open(path, newline="") as handle:
-        for row in csv.reader(handle):
+        for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row or not "".join(row).strip():
                 continue
-            matrix.append([float(v) for v in row])
+            try:
+                matrix.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ParameterError(f"{path}:{lineno}: {exc}") from None
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ParameterError(f"{path}: expected an {n} x {n} profit matrix")
     return matrix

@@ -34,9 +34,7 @@ class CoreReport:
     witness_m: int
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["beta"] = list(self.beta)
-        return json.dumps(payload)
+        return json.dumps(asdict(self))  # beta, a tuple, is written as a list
 
 
 def characteristic_values(params: MarketParams, n: int) -> list[float]:

@@ -113,17 +113,15 @@ def validate_params(params: MarketParams) -> DerivedEconomics:
         raise ParameterError(f"sigma = {params.sigma} <= 0")
     if not -1.0 < params.rho <= 1.0:
         raise ParameterError(f"rho = {params.rho} outside (-1, 1]")
-    g = r - c
-    g_tilde = c - nu
-    gamma = t / (r - nu)
-    return DerivedEconomics(
-        g=g,
-        g_tilde=g_tilde,
-        p=r - nu - t,
-        R=g / (g + g_tilde),
-        gamma=gamma,
-        gamma_tilde=1.0 - gamma,
-    )
+    return _economics(params, t)
+
+
+def _economics(params: MarketParams, t: float) -> DerivedEconomics:
+    """The economics validate_params derives, at a valid t in place of params.t."""
+    r, c, nu = params.r, params.c, params.nu
+    g, g_tilde, gamma = r - c, c - nu, t / (r - nu)
+    return DerivedEconomics(g=g, g_tilde=g_tilde, p=r - nu - t, R=g / (g + g_tilde),
+                            gamma=gamma, gamma_tilde=1.0 - gamma)
 
 
 def classify_game(econ: DerivedEconomics, tol: float = MEAN_GAME_TOL) -> GameType:

@@ -229,6 +229,30 @@ class TestSweep:
                 records = [json.loads(line) for line in text.splitlines()]
                 assert [[rec[key] for key in SWEEP_HEADER] for rec in records] == expected
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_over_t_row_that_overflows_fails_after_the_rows_before_it(self, capsys, fmt):
+        # As with --over n, the rows stream: the profit grows as t falls, and
+        # at t = 0 it passes the float maximum after three rows are written.
+        code, text = run_cli(["sweep", "--over", "t", "--from", "7.5", "--to", "0",
+                              "--steps", "4", "--n", "4", "--r", "10", "--c", "6", "--nu", "2",
+                              "--mu", "1.5e307", "--sigma", "7.5e306", "--rho", "0",
+                              "--format", fmt])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the solution at n = 4 overflows the float range: x_opt = 1.5e+307, "
+            "profit = inf, transshipment = 5.984134206021491e+306\n")
+        expected = []
+        for t in (7.5, 5.0, 2.5):
+            res = solve_optimal_quantity(4, MarketParams(10, 6, 2, t, 1.5e307, 7.5e306, 0))
+            expected.append([t, res.y_opt, res.no_shortage_prob, res.profit, res.allocation,
+                             res.transshipment, 0.0])
+        if fmt == "csv":
+            rows = list(csv.reader(io.StringIO(text)))
+            assert rows == [list(SWEEP_HEADER), *([repr(v) for v in row] for row in expected)]
+        else:
+            records = [json.loads(line) for line in text.splitlines()]
+            assert [[rec[key] for key in SWEEP_HEADER] for rec in records] == expected
+
     def test_over_t_reports_the_first_rows_fault_first(self, capsys):
         # n = 0 is refused before t = 9 >= r - nu = 8 at the last row
         code, text = run_cli(["sweep", "--over", "t", "--from", "0", "--to", "9", "--steps", "4",
@@ -302,14 +326,17 @@ class NullSink:
 
 
 class TestStreaming:
-    """sweep --over n and core-check hold no list of per-size results: the
-    sweep writes each row as it is solved, and the core check keeps only the
-    allocations. Holding the results peaked at 10.7 and 7.7 MiB at n = 20,000."""
+    """The sweeps and core-check hold no list of per-size results: each sweep
+    writes each row as it is solved, and the core check keeps only the
+    allocations. Holding the results peaked at 10.7 and 7.7 MiB at n = 20,000,
+    and the rows of sweep --over t at 5.5 MiB at 20,000 steps."""
 
     @pytest.mark.parametrize("argv,bound_mib", [
         (["sweep", "--over", "n", "--from", "1", "--to", "20000", *MEAN_ARGS], 1.0),
+        (["sweep", "--over", "t", "--from", "0", "--to", "7.9", "--steps", "20000",
+          *UNDER_ARGS, "--n", "4"], 2.0),
         (["core-check", *MEAN_ARGS, "--n", "20000"], 3.0),
-    ], ids=["sweep-n", "core-check"])
+    ], ids=["sweep-n", "sweep-t", "core-check"])
     def test_traced_peak(self, argv, bound_mib):
         tracemalloc.start()
         try:
@@ -473,6 +500,21 @@ class TestRecourse:
         code, _ = run_cli(["recourse", "--surplus-file", "/nonexistent.csv",
                            "--profit-file", "/nonexistent2.csv"])
         assert code != 0
+
+    @pytest.mark.parametrize("surplus_text,profit_text,bad", [
+        ("agent,H,E\n1,1,0\n2,abc,1\n", "0,1\n1,0\n", "ss.csv:3: could not convert string "
+                                                          "to float: 'abc'"),
+        ("agent,H,E\n1,1,0\n2,0,1\n", "0,1\n\n1,x\n", "p.csv:3: could not convert string "
+                                                       "to float: 'x'"),
+    ], ids=["surplus", "profit"])
+    def test_bad_number_names_file_and_line(self, tmp_path, capsys, surplus_text, profit_text,
+                                            bad):
+        (tmp_path / "ss.csv").write_text(surplus_text)
+        (tmp_path / "p.csv").write_text(profit_text)
+        code, text = run_cli(["recourse", "--surplus-file", str(tmp_path / "ss.csv"),
+                              "--profit-file", str(tmp_path / "p.csv")])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"error: {tmp_path / bad}\n"
 
     def test_short_row_rejected(self, tmp_path, capsys):
         surplus = tmp_path / "ss.csv"
