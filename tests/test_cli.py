@@ -264,8 +264,8 @@ class TestSweep:
                                            ("6", "-6", "t = -3.0 < 0"),
                                            ("0", "1e308", "t = 2.5e+307 >= r - nu = 8.0")])
     def test_over_t_names_the_first_t_out_of_range(self, capsys, lo, hi, bad):
-        # The error names the first t outside [0, r - nu), not the last one;
-        # past 1e308 / 3 the later grid points overflow to inf.
+        # The error names the first t outside [0, r - nu), not the last one.
+        # At --to 1e308, span * k overflows for k >= 2, so the last t is inf.
         code, text = run_cli(["sweep", "--over", "t", "--from", lo, "--to", hi, "--steps", "5",
                               *UNDER_ARGS, "--n", "2"])
         assert (code, text) == (1, "")
