@@ -116,6 +116,15 @@ class TestSweep:
             elif t_val > 4.0:
                 assert y < 0.0
 
+    @pytest.mark.xfail(strict=True, reason="the last t is 7.76 + (0 - 7.76) * 6 / 6 = -8.9e-16, "
+                       "below --to; ROADMAP item 1 has perfbench take t from each row, so "
+                       "that the grid can end on --to")
+    def test_descending_grid_ends_on_its_last_point(self):
+        code, text = run_cli(["sweep", "--over", "t", "--from", "7.76", "--to", "0",
+                              "--steps", "7", "--n", "3", *UNDER_ARGS, "--format", "csv"])
+        assert code == 0
+        assert float(list(csv.reader(io.StringIO(text)))[-1][0]) == 0.0
+
     def test_deterministic(self):
         argv = ["sweep", "--over", "t", "--from", "1", "--to", "5", "--steps", "9",
                 *UNDER_ARGS, "--n", "2", "--format", "csv"]
@@ -372,6 +381,14 @@ class TestSimulate:
         records = [json.loads(line) for line in text.splitlines()]
         assert {r["quantity"] for r in records} == {"profit", "transshipment"}
         assert all(r["within_4_std_errors"] for r in records)
+
+    def test_correlation_just_inside_the_lower_bound(self):
+        # The double -0.3333333333333333 lies above -1/3, so the solve and the
+        # sampler both accept it.
+        args = [*MEAN_ARGS[:-1], "-0.3333333333333333"]
+        code, text = run_cli(["simulate", *args, "--n", "4", "--count", "100000"])
+        assert code == 0
+        assert text.count("PASS") == 2
 
     def test_table_reports_pass(self):
         code, text = run_cli(["simulate", *MEAN_ARGS, "--n", "3", "--count", "5000"])

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from transship import game_model
 from transship.game_model import (
     FeasibilityReport,
     GameType,
@@ -206,6 +207,33 @@ class TestPoolingFactor:
                     with pytest.raises(ParameterError, match="not positive-definite"):
                         pooling_factor(n, rho)
                 rho = math.nextafter(rho, 0.0)
+
+    def test_pool_variance_is_the_rounded_sum_or_else_the_exact_one(self):
+        # 1 + (n - 1) rho keeps its bits where it rounds to at least 1/2, and
+        # below that, near rho's lower bound, is the exact sum rounded once.
+        rng = np.random.default_rng(18)
+        sizes = [*rng.integers(1, 2000, 80).tolist(), 10**6, 10**12, 2**60]
+        below = 0
+        for n in sizes:
+            lower = -1.0 / (n - 1) if n > 1 else -1.0
+            rhos = [*(lower * rng.uniform(0.0, 1.0, 20)).tolist(),
+                    *rng.uniform(lower, 1.0, 20).tolist()]
+            rho = lower
+            for _ in range(5):
+                rho = math.nextafter(rho, 0.0)
+                rhos.append(rho)
+            for rho in rhos:
+                rounded = 1.0 + (n - 1) * rho
+                exact = 1 + (n - 1) * fractions.Fraction(rho)
+                if exact <= 0:
+                    with pytest.raises(ParameterError, match="not positive-definite"):
+                        game_model._pool_variance(n, rho)
+                elif rounded >= 0.5:
+                    assert game_model._pool_variance(n, rho) == rounded
+                else:
+                    below += 1
+                    assert game_model._pool_variance(n, rho) == float(exact)
+        assert below > 1000
 
 
 class TestDemandFeasibility:

@@ -249,6 +249,37 @@ class TestSampleDemands(ArgumentChecks):
         z = np.random.Generator(np.random.Philox(key=15)).standard_normal((1000, n))
         assert np.array_equal(samples.scenarios, 100 + 20 * z)
 
+    def test_accepts_exactly_the_correlations_pooling_factor_accepts(self):
+        # The closed forms and the sampler share one rule for rho's lower
+        # bound -1/(n - 1): the doubles within 3 ulp of its rounded value.
+        def accepts(call):
+            try:
+                call()
+            except ParameterError:
+                return False
+            return True
+
+        disagree = []
+        for n in range(2, 400):
+            rho = -1.0 / (n - 1)
+            for _ in range(3):
+                rho = math.nextafter(rho, -1.0)
+            for _ in range(7):
+                if (accepts(lambda: pooling_factor(n, rho))
+                        != accepts(lambda: sample_demands(n, 100.0, 20.0, rho, 10, seed=0))):
+                    disagree.append((n, rho))
+                rho = math.nextafter(rho, 0.0)
+        assert disagree == []
+
+    def test_row_means_spread_as_the_exact_law_near_the_lower_bound(self):
+        # 1 + 65 rho rounds to 1.1e-16 here but is 5.7e-17 exactly; the row
+        # means of the equicorrelated normal spread as sigma sqrt(that / n).
+        n, rho, sigma = 66, -0.015384615384615384, 20.0
+        samples = sample_demands(n, 100.0, sigma, rho, 100_000, seed=7)
+        means = np.concatenate([block.mean(axis=1) for _, block in samples._blocks()])
+        target = sigma * math.sqrt(float(1 + (n - 1) * fractions.Fraction(rho)) / n)
+        assert means.std() / target == pytest.approx(1.0, rel=0.02)
+
     # sha256 of sample_demands(n, 100, 20, rho, 301, seed=41).scenarios.tobytes(),
     # recorded from the sampler that always formed the row means. At rho = 1
     # and n > 1 the digests are of single_agent_columns(n, 100, 20, 301, 41),
