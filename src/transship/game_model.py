@@ -157,15 +157,15 @@ def _check_size(n) -> None:
         raise ParameterError(f"coalition size n must be an integer, got {n!r}")
 
 
-def pooling_factor(n: int, rho: float) -> float:
-    """Risk-pooling factor L_n = sqrt(n / (1 + (n-1)*rho)); L_1 = 1.
+def _pool_variance(n: int, rho: float) -> float:
+    """1 + (n-1)*rho, the variance of n equicorrelated unit normals' sum over n.
 
     Requires an integer n >= 1 no larger than the largest float, a real
     rho <= 1 that is not nan, and rho > -1/(n-1) for n >= 2
     (positive-definite equicorrelation); each violation raises a one-line
-    ParameterError. Near that bound 1 + (n-1)*rho cancels, so where it rounds
+    ParameterError. Near that bound the sum cancels, so where it rounds
     below 1/2 it is formed exactly and rounded once, which also makes the
-    bound check exact.
+    bound check exact. The closed forms and the sampler share this rule.
     """
     if type(n) is not int:
         _check_size(n)
@@ -189,7 +189,12 @@ def pooling_factor(n: int, rho: float) -> float:
             f"rho = {rho} <= -1/(n-1) = {-1.0 / (n - 1)}: "
             f"equicorrelation matrix not positive-definite for n = {n}"
         )
-    return math.sqrt(n / denom)
+    return denom
+
+
+def pooling_factor(n: int, rho: float) -> float:
+    """Risk-pooling factor L_n = sqrt(n / _pool_variance(n, rho)); L_1 = 1."""
+    return math.sqrt(n / _pool_variance(n, rho))
 
 
 def demand_feasibility_check(params: MarketParams) -> FeasibilityReport:

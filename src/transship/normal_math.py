@@ -19,10 +19,10 @@ _SQRT_2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
 
-def _require_finite(y: float, name: str = "y") -> float:
+def _require_finite(y: float) -> float:
     y = float(y)
     if not math.isfinite(y):
-        raise ValueError(f"{name} must be finite, got {y!r}")
+        raise ValueError(f"y must be finite, got {y!r}")
     return y
 
 

@@ -24,6 +24,7 @@ from .game_model import (
     ParameterError,
     _is_integer,
     _is_real,
+    _pool_variance,
     pooling_factor,
     validate_params,
 )
@@ -85,11 +86,11 @@ class DemandMatrix:
     """Joint demand scenarios: `count` rows of draws, one column per agent.
 
     The fields are the sampler's arguments (see `sample_demands`, which
-    builds one), checked when the instance is made, so every instance is one
-    that `sample_demands` would return; `dataclasses.replace` checks them
-    again. Nothing is drawn when it is made. The estimators and
-    `dump_scenarios` draw the scenarios block by block, so they hold
-    O(block + count) memory and never the count x n matrix. Reading
+    builds one), checked when the instance is made, rho's lower bound by
+    `pooling_factor`'s rule; so every instance is one `sample_demands` would
+    return, and `dataclasses.replace` checks them again. Nothing is drawn
+    then. The estimators and `dump_scenarios` draw the scenarios block by
+    block, in O(block + count) memory, never the count x n matrix. Reading
     `scenarios` draws the whole matrix once and keeps it, read-only; later
     passes then walk it instead of drawing again. Every pass gives the same
     bits, fixed by the seed. At rho = 1 every agent sees one demand, so a
@@ -131,10 +132,7 @@ class DemandMatrix:
             raise ParameterError(f"count must be an integer >= 1, got {count!r}")
         if not -1.0 < rho <= 1.0:
             raise ParameterError(f"rho = {rho} outside (-1, 1]")
-        if n >= 2 and rho <= -1.0 / (n - 1):
-            raise ParameterError(
-                f"rho = {rho} <= -1/(n-1) = {-1.0 / (n - 1)}: covariance not positive-definite"
-            )
+        _pool_variance(n, rho)  # rho > -1/(n-1), decided exactly
         if not (_is_integer(seed) and 0 <= seed < 2**128):
             raise ParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
         n, count = int(n), int(count)
@@ -156,13 +154,14 @@ class DemandMatrix:
         """Yield (first row, block) over the count x k scenarios, in order, in
         blocks of about _BLOCK_ELEMENTS entries.
 
-        Per scenario D = mu + scale * Z + weight * Zbar, with Z drawn from
+        Per scenario D = mu + scale * Z + weight * Zbar, the form of
+        sample_demands with b^2 = _pool_variance(k, rho), and Z drawn from
         Philox keyed by the seed, k normals per scenario. Each block is drawn
         and transformed in place: into its rows of `out` (count x k) when
         given, else into one reused buffer that the next step overwrites.
         Philox's ziggurat normals use a variable number of counters, so the
-        blocks come in order from one generator, which reproduces the stream
-        of a single count x k draw bit for bit. Each row mean is the row's sum
+        blocks come in order from one generator, which reproduces the stream of
+        a single count x k draw bit for bit. Each row mean is the row's sum
         (see _row_sums) divided by k, as ndarray.mean forms it, over its own
         row, so the result does not depend on the block size. Overflow gives
         inf entries silently, for the caller to reject.
@@ -174,7 +173,7 @@ class DemandMatrix:
         count, mu, k = self.count, self.mu, self._k
         # A single agent has no pairwise correlation, so rho drops out (a = b = 1).
         a = math.sqrt(1.0 - self.rho_target) if k > 1 else 1.0
-        b = math.sqrt(1.0 + (k - 1) * self.rho_target)
+        b = math.sqrt(_pool_variance(k, self.rho_target))
         scale, weight = self.sigma * a, self.sigma * (b - a)
         # The factor term weight * Zbar is a signed zero when weight = 0, and
         # mu + (+-0) = mu, so no row mean is needed. At mu = -0.0 the sign of a
@@ -253,10 +252,10 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
 
     Mean mu * 1, covariance sigma^2 * [(1 - rho) I + rho 11^T]; requires
     integers n >= 1 and count >= 1, finite mu, finite sigma > 0,
-    -1/(n-1) < rho <= 1 and an integer seed in [0, 2**128) (bools are not
-    integers here), and a count x n that numpy can address. Each violation
-    raises a one-line ParameterError from this call. Identical (seed,
-    arguments) give bit-identical scenarios.
+    -1/(n-1) < rho <= 1 (decided exactly, as by pooling_factor), an integer
+    seed in [0, 2**128) (bools are not integers here), and a count x n that
+    numpy can address. Each violation raises a one-line ParameterError from
+    this call. Identical (seed, arguments) give bit-identical scenarios.
 
     Uses the one-factor representation of the equicorrelated normal (Tong,
     The Multivariate Normal Distribution, 1990, section 8.2): with Z the
@@ -266,13 +265,13 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
         a = sqrt(1 - rho),  b = sqrt(1 + (n - 1) rho),
 
     which has unit variances and correlation rho, exactly, across the whole
-    valid range. It costs O(n) per scenario. At rho = 0 (b - a = 0) or n = 1
-    the result is mu + sigma * Z, formed without the row means when mu != 0.
-    At rho = 1 (a = 0) every column is one demand, so one normal is drawn
-    per scenario: the scenarios are the n = 1 scenarios of the same mu,
-    sigma, count and seed, repeated into n columns bit for bit. At rho < 1
-    every scenario draws n normals. The draws Z come from Philox keyed by the
-    seed. Nothing is drawn here: see DemandMatrix.
+    valid range, b with pooling_factor's exact 1 + (n - 1) rho. It costs O(n)
+    per scenario. At rho = 0 (b - a = 0) or n = 1 the result is
+    mu + sigma * Z, formed without the row means when mu != 0. At rho = 1
+    (a = 0) every column is one demand, so one normal is drawn per scenario:
+    the scenarios are the n = 1 scenarios of the same mu, sigma, count and
+    seed, repeated into n columns bit for bit. At rho < 1 every scenario
+    draws n Philox normals. Nothing is drawn here: see DemandMatrix.
     """
     return DemandMatrix(n=n, count=count, seed=seed, rho_target=rho, mu=mu, sigma=sigma)
 

@@ -195,6 +195,13 @@ class ArgumentChecks:
         with pytest.raises(ParameterError, match="entries exceed the largest array"):
             self.build(2**40, 100, 20, 0.0, 2**40, seed=0)
 
+    def test_rejects_a_size_past_the_float_range(self):
+        # 1 + (n - 1) rho is formed in floats, so such a size cannot be sampled.
+        with pytest.raises(ParameterError) as info:
+            self.build(10**400, 100, 20, 0.3, 1, seed=0)
+        assert str(info.value) == ("coalition size n exceeds the float range "
+                                   "(> 1.7976931348623157e+308)")
+
     @pytest.mark.parametrize(
         "kwargs,fragment",
         [
@@ -283,7 +290,9 @@ class TestSampleDemands(ArgumentChecks):
     # sha256 of sample_demands(n, 100, 20, rho, 301, seed=41).scenarios.tobytes(),
     # recorded from the sampler that always formed the row means. At rho = 1
     # and n > 1 the digests are of single_agent_columns(n, 100, 20, 301, 41),
-    # the stream since rho = 1 draws one normal per scenario.
+    # the stream since rho = 1 draws one normal per scenario. (128, "lower")
+    # was recorded again when b = sqrt(1 + (n - 1) rho) became the exact sum
+    # rounded once below 1/2; at n = 1, 7 the sum rounds to the same double.
     STREAM_DIGESTS = {
         (1, "0"): "38c9b1b793bd7294215778fcee9bf6400b6c757bd64d0734fe08513328b10d76",
         (1, "0.4"): "38c9b1b793bd7294215778fcee9bf6400b6c757bd64d0734fe08513328b10d76",
@@ -296,7 +305,7 @@ class TestSampleDemands(ArgumentChecks):
         (128, "0"): "40b989fbf1c9d0e29cca2a70b698ac2ef07d53844d1438f7bacbb709d7b176cc",
         (128, "0.4"): "86baa1ec9d3311199f0d3fbc42d704125c5e1c701c2bd909a9c720dfbe23ebef",
         (128, "1"): "bc008be1098645c9ccd8e2f2de3c6f2646bd22bc1fb5aeff19e476a194f01fac",
-        (128, "lower"): "00303988d32a2de333888be21421249c94865130a3a113f12e5e5e295625ffff",
+        (128, "lower"): "305a54bf05bc7c8d8d04f40f78bef423078e267e8b4efcc64722305d22e32a7e",
     }
 
     @pytest.mark.parametrize("n,rho_kind", sorted(STREAM_DIGESTS))
@@ -859,9 +868,13 @@ class TestRecordedEstimates:
     sampler that drew the whole matrix in one call, except at rho = 1 and
     n > 1. There the scenarios are single_agent_columns of the same mu, sigma,
     count and seed, and the estimates were recorded from totals that are n
-    times one agent's, rounded once. Each entry is (n, mu, sigma, rho kind,
-    count, seed, xs, the first 32 hex digits of the sha256 of the scenarios,
-    and of the profit and transshipment reprs at each x)."""
+    times one agent's, rounded once. The n = 31 and n = 128 "lower" rows were
+    recorded again when the sampler's b = sqrt(1 + (n - 1) rho) became the
+    exact sum rounded once below 1/2: their means moved by at most 7.4e-15
+    relative and their standard errors by 5.4e-14; at n = 2, 3 the sum rounds
+    to the same double. Each entry is (n, mu, sigma, rho kind, count, seed,
+    xs, the first 32 hex digits of the sha256 of the scenarios, and of the
+    profit and transshipment reprs at each x)."""
 
     CASES = [
         (1, 100.0, 20.0, "0", 2, 3, (103.0, 91.5),
@@ -875,11 +888,11 @@ class TestRecordedEstimates:
         (31, 100.0, 5e-324, "1", 700, 0, (100.0, 99.99999999999999),
          "80d19166c59daec63c280ddd41223e47", "f44416584fa19b55df2dc0d15dcb196d"),
         (31, -0.0, 20.0, "lower", 1000, 77, (-20.0, 0.0, 35.0),
-         "4cfc2edf1b179cb61719348a64fae47c", "690cae58b081c173ba771775788e5da5"),
+         "ae6f67156b4a992a90250d520face30d", "744a3575aae1e6d9f9cabb32526da2f1"),
         (128, 0.0, 5e-324, "0.4", 257, 2**128 - 1, (0.0, -5e-324, 1e-323),
          "41f2cf2f2e31885064e48676a19b6217", "cb23fb4d7072df952bd3c7c577e051fe"),
         (128, 100.0, 20.0, "lower", 500, 41, (103.0, 60.0),
-         "53330e27570a5d9830cff27181cb4439", "1b8810170285dcb40383c214bcc60606"),
+         "62627a89f25aa0c404635c62588294e4", "ccbad58b452cae3c9b74f2d8b838c480"),
         (128, 100.0, 20.0, "1", 300, 9, (140.0, 100.0, 140.0),
          "69a137de5cc6f3c5a3e044f74803264d", "b969707c7feebe72e58f01dc71ac565f"),
         (3, 100.0, 20.0, "lower", 4097, 123456789, (97.0, 130.0),
