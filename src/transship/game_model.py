@@ -161,7 +161,7 @@ def _pool_variance(n: int, rho: float) -> float:
     """1 + (n-1)*rho, the variance of n equicorrelated unit normals' sum over n.
 
     Requires an integer n >= 1 no larger than the largest float, a real
-    rho <= 1 that is not nan, and rho > -1/(n-1) for n >= 2
+    rho <= 1 that is not nan or -inf, and rho > -1/(n-1) for n >= 2
     (positive-definite equicorrelation); each violation raises a one-line
     ParameterError. Near that bound the sum cancels, so where it rounds
     below 1/2 it is formed exactly and rounded once, which also makes the
@@ -178,8 +178,8 @@ def _pool_variance(n: int, rho: float) -> float:
         if not _is_real(rho):
             raise ParameterError(f"rho must be a real number, got {rho!r}")
         rho = float(rho)
-    if not rho <= 1.0:
-        raise ParameterError(f"rho = {rho} > 1" if rho > 1.0 else "rho must be a real number, got nan")
+    if not -math.inf < rho <= 1.0:
+        raise ParameterError(f"rho = {rho} > 1" if rho > 1.0 else f"rho must be a real number, got {rho}")
     denom = 1.0 + (n - 1) * rho
     if denom < 0.5:
         num, den = rho.as_integer_ratio()

@@ -160,8 +160,8 @@ class DemandMatrix:
         and transformed in place: into its rows of `out` (count x k) when
         given, else into one reused buffer that the next step overwrites.
         Philox's ziggurat normals use a variable number of counters, so the
-        blocks come in order from one generator, which reproduces the stream of
-        a single count x k draw bit for bit. Each row mean is the row's sum
+        blocks come in order from one generator, which reproduces the stream
+        of a single count x k draw bit for bit. Each row mean is the row's sum
         (see _row_sums) divided by k, as ndarray.mean forms it, over its own
         row, so the result does not depend on the block size. Overflow gives
         inf entries silently, for the caller to reject.

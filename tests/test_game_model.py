@@ -165,6 +165,13 @@ class TestPoolingFactor:
             pooling_factor(3, rho)
         assert str(info.value) == f"rho must be a real number, got {rho!r}"
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rejects_minus_infinity(self, n):
+        # 1 + (n - 1) rho would be nan at n = 1, and -inf has no exact ratio.
+        with pytest.raises(ParameterError) as info:
+            pooling_factor(n, -math.inf)
+        assert str(info.value) == "rho must be a real number, got -inf"
+
     def test_accepts_numpy_and_exact_numbers(self):
         assert pooling_factor(np.int64(4), np.float64(0.0)) == 2.0
         assert pooling_factor(4, 0) == pooling_factor(4, fractions.Fraction(0)) == 2.0
