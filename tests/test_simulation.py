@@ -283,7 +283,7 @@ class TestSampleDemands(ArgumentChecks):
         # means of the equicorrelated normal spread as sigma sqrt(that / n).
         n, rho, sigma = 66, -0.015384615384615384, 20.0
         samples = sample_demands(n, 100.0, sigma, rho, 100_000, seed=7)
-        means = np.concatenate([block.mean(axis=1) for _, block in samples._blocks()])
+        means = np.concatenate([block.mean(axis=1) for _, block in samples._draw()])
         target = sigma * math.sqrt(float(1 + (n - 1) * fractions.Fraction(rho)) / n)
         assert means.std() / target == pytest.approx(1.0, rel=0.02)
 
@@ -325,7 +325,7 @@ class TestSampleDemands(ArgumentChecks):
         monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block)
         rho = near_lower_rho(n) if rho_kind == "lower" else float(rho_kind)
         streamed = hashlib.sha256()
-        for _, part in sample_demands(n, 100.0, 20.0, rho, 301, seed=41)._blocks():
+        for _, part in sample_demands(n, 100.0, 20.0, rho, 301, seed=41)._draw():
             assert part.size <= max(block, n)
             streamed.update(part.tobytes())
         samples = sample_demands(n, 100.0, 20.0, rho, 301, seed=41)
@@ -345,7 +345,7 @@ class TestSampleDemands(ArgumentChecks):
         single = sample_demands(1, mu, sigma, 0.0, 301, seed=41).scenarios
         if block is not None:
             monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block)
-        streamed = sample_demands(n, mu, sigma, 1.0, 301, seed=41)._blocks()
+        streamed = sample_demands(n, mu, sigma, 1.0, 301, seed=41)._draw()
         assert b"".join(part.tobytes() for _, part in streamed) == single.tobytes()
         assert sample_demands(n, mu, sigma, 1.0, 301, seed=41).scenarios.tobytes() == \
             single_agent_columns(n, mu, sigma, 301, seed=41).tobytes()
@@ -365,12 +365,20 @@ class TestSampleDemands(ArgumentChecks):
                 drawn.append(out.size)
                 return self._rng.standard_normal(out=out)
 
+        def read_then_estimate(samples):
+            # Reading the matrix does not spare the next pass its draw.
+            estimate_transshipment(103.0, samples)
+            samples.scenarios
+            drawn.clear()
+            estimate_transshipment(97.0, samples)
+
         monkeypatch.setattr(np.random, "Generator", Counting)
         count = 3001
         passes = [
             lambda samples: estimate_transshipment(103.0, samples),
             lambda samples: dump_scenarios(samples, tmp_path / "draws.csv"),
             lambda samples: samples.scenarios,
+            read_then_estimate,
         ]
         for run in passes:
             drawn.clear()
@@ -736,6 +744,17 @@ class TestStreamedRecipe:
         assert (profit, moved) == expected
         dump_scenarios(samples, tmp_path / "draws.csv")
         assert "scenarios" not in vars(samples)
+
+    def test_an_edited_matrix_does_not_change_the_estimates(self):
+        # The passes draw from the recipe, never from a matrix that was read,
+        # so overwriting the matrix leaves the estimates as they were.
+        def fresh():
+            return sample_demands(4, 100, 20, 0.3, 2000, seed=5)
+
+        samples = fresh()
+        samples.scenarios.flags.writeable = True
+        samples.scenarios[...] = 100.0
+        assert estimate_transshipment(101.0, samples) == estimate_transshipment(101.0, fresh())
 
     def test_memory_grows_with_count_not_with_the_matrix(self):
         # sample_demands and both estimators at n = 128: five count-long arrays
