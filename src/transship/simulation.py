@@ -46,8 +46,8 @@ __all__ = [
 RNG_ALGORITHM = "numpy-philox4x64"
 
 
-# Matrix entries per block when a pass draws or walks the scenarios (256 KiB
-# of float64, at least one row): its scratch memory does not grow with count.
+# Matrix entries per block when a pass draws the scenarios (256 KiB of
+# float64, at least one row): its scratch memory does not grow with count.
 _BLOCK_ELEMENTS = 1 << 15
 
 # Entries in the largest float64 array numpy can address.
@@ -55,8 +55,8 @@ _MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 def _block_rows(n: int) -> int:
-    """Rows per block when a pass walks the scenarios: about _BLOCK_ELEMENTS
-    entries, at least one row."""
+    """Rows per block of a pass over n columns: about _BLOCK_ELEMENTS entries,
+    at least one row."""
     return max(1, _BLOCK_ELEMENTS // n)
 
 
@@ -91,18 +91,16 @@ class DemandMatrix:
     return, and `dataclasses.replace` checks them again. Nothing is drawn
     then. The estimators and `dump_scenarios` draw the scenarios block by
     block, in O(block + count) memory, never the count x n matrix. Reading
-    `scenarios` draws the whole matrix once and keeps it, read-only; later
-    passes then walk it instead of drawing again. Every pass gives the same
-    bits, fixed by the seed. At rho = 1 every agent sees one demand, so a
-    pass draws, or walks, only that column; `scenarios` and `dump_scenarios`
+    `scenarios` draws the same blocks into the whole matrix and keeps it,
+    read-only, for the caller; no pass reads it, so every pass gives the
+    same bits, fixed by the recipe. At rho = 1 every agent sees one demand,
+    so a pass draws only that column; `scenarios` and `dump_scenarios`
     repeat it into the n columns.
 
     An instance holds the per-scenario totals of the last x the estimators
     reduced it at, so estimating the profit and the transshipment at one x
-    takes one pass, and a new x takes another. Setting
-    `scenarios.flags.writeable` back to True to edit the matrix would leave
-    those held totals stale; copy the array instead. Instances are
-    immutable, and equal only to themselves.
+    takes one pass, and a new x takes another. Instances are immutable, and
+    equal only to themselves.
     """
 
     n: int
@@ -150,15 +148,15 @@ class DemandMatrix:
         sees: 1 at rho = 1, where every agent has the same demand, else n."""
         return 1 if self.rho_target == 1.0 else self.n
 
-    def _draw(self, out: Optional[np.ndarray] = None):
+    def _draw(self):
         """Yield (first row, block) over the count x k scenarios, in order, in
-        blocks of about _BLOCK_ELEMENTS entries.
+        blocks of about _BLOCK_ELEMENTS entries: every pass's one source.
 
         Per scenario D = mu + scale * Z + weight * Zbar, the form of
         sample_demands with b^2 = _pool_variance(k, rho), and Z drawn from
         Philox keyed by the seed, k normals per scenario. Each block is drawn
-        and transformed in place: into its rows of `out` (count x k) when
-        given, else into one reused buffer that the next step overwrites.
+        and transformed in place in one reused buffer, which the next step
+        overwrites.
         Philox's ziggurat normals use a variable number of counters, so the
         blocks come in order from one generator, which reproduces the stream
         of a single count x k draw bit for bit. Each row mean is the row's sum
@@ -182,11 +180,11 @@ class DemandMatrix:
         factor = weight != 0.0 or mu == 0.0
         rows = min(_block_rows(k), count)
         rng = np.random.Generator(np.random.Philox(key=self.seed))
-        buffer = np.empty((rows, k)) if out is None else None
+        buffer = np.empty((rows, k))
         means = np.empty(rows) if factor else None
         for lo in range(0, count, rows):
             size = min(rows, count - lo)
-            block = buffer[:size] if out is None else out[lo:lo + size]
+            block = buffer[:size]
             rng.standard_normal(out=block)
             with np.errstate(over="ignore", invalid="ignore"):
                 if factor:
@@ -213,28 +211,16 @@ class DemandMatrix:
 
     @cached_property
     def scenarios(self) -> np.ndarray:
-        """The (count, n) matrix, drawn on the first read, then kept read-only.
-
-        Entries that overflow raise ValueError.
+        """The (count, n) matrix, drawn on the first read, then kept read-only
+        for the caller; no pass reads it. Entries that overflow raise ValueError.
         """
         matrix = np.empty((self.count, self._k))
-        for lo, block in self._draw(out=matrix):
-            self._finite(lo, block)
+        for lo, block in self._draw():
+            matrix[lo:lo + block.shape[0]] = self._finite(lo, block)
         if self._k < self.n:
             matrix = np.repeat(matrix, self.n, axis=1)
         matrix.flags.writeable = False
         return matrix
-
-    def _blocks(self):
-        """(first row, block) over the count x k scenarios: slices of
-        `scenarios` once it has been read, else fresh draws into one reused
-        buffer. At rho = 1 a block is the one column every agent sees."""
-        matrix = vars(self).get("scenarios")
-        if matrix is None:
-            return self._draw()
-        k = self._k
-        rows = _block_rows(k)
-        return ((lo, matrix[lo:lo + rows, :k]) for lo in range(0, self.count, rows))
 
 
 @dataclass(frozen=True)
@@ -293,7 +279,7 @@ def _surplus_shortage(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.n
     shortage = np.empty(count)
     buffer = np.empty((min(_block_rows(k), count), k))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, block in samples._blocks():
+        for lo, block in samples._draw():
             hi = lo + block.shape[0]
             scratch = buffer[:block.shape[0]]
             np.subtract(x, block, out=scratch)
@@ -472,15 +458,15 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
 def dump_scenarios(samples: DemandMatrix, path: Union[str, Path]) -> None:
     """Write scenarios to CSV (scenario_id, D_1..D_n) at full precision.
 
-    Rows are written block by block, so scenarios that were never read are
-    drawn as they are written and never held whole; at rho = 1 each row's one
-    demand is formatted once and written n times. A block with a non-finite
-    entry raises ValueError, and the file then holds the rows before it.
+    Rows are drawn block by block as they are written, never held whole; at
+    rho = 1 each row's one demand is formatted once and written n times. A
+    block with a non-finite entry raises ValueError, and the file then holds
+    the rows before it.
     """
     repeats = samples.n // samples._k
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["scenario_id"] + [f"D_{j + 1}" for j in range(samples.n)])
-        for lo, block in samples._blocks():
+        for lo, block in samples._draw():
             writer.writerows([lo + i] + [repr(d) for d in row] * repeats
                              for i, row in enumerate(samples._finite(lo, block).tolist()))
