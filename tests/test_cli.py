@@ -533,6 +533,14 @@ class TestRecourse:
         assert (code, text) == (1, "")
         assert capsys.readouterr().err == f"error: {tmp_path / bad}\n"
 
+    def test_objective_past_the_float_range_exits_with_one_line(self, tmp_path, capsys):
+        (tmp_path / "ss.csv").write_text("agent,H,E\n1,5,0\n2,0,5\n")
+        (tmp_path / "p.csv").write_text("0,1e308\n0,0\n")
+        code, text = run_cli(["recourse", "--surplus-file", str(tmp_path / "ss.csv"),
+                              "--profit-file", str(tmp_path / "p.csv")])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == "error: recourse objective exceeds the float range (> 1.7976931348623157e+308)\n"
+
     def test_short_row_rejected(self, tmp_path, capsys):
         surplus = tmp_path / "ss.csv"
         surplus.write_text("agent,H,E\n1,1\n")

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from transship import game_model
+from transship import analytic_solver, game_model
 from transship.game_model import (
     FeasibilityReport,
     GameType,
@@ -105,7 +105,8 @@ class TestClassifyGame:
         econ = validate_params(MEAN_GAME)
         nudged = type(econ)(**{**econ.__dict__, "R": 0.5 + 1e-13})
         assert classify_game(nudged) is GameType.MEAN
-        assert classify_game(nudged, tol=1e-14) is GameType.OVER_MEAN
+        for R, game in ((0.5 + 1e-11, GameType.OVER_MEAN), (0.5 - 1e-11, GameType.UNDER_MEAN)):
+            assert classify_game(type(econ)(**{**econ.__dict__, "R": R})) is game
 
 
 class TestPoolingFactor:
@@ -164,6 +165,18 @@ class TestPoolingFactor:
         with pytest.raises(ParameterError) as info:
             pooling_factor(3, rho)
         assert str(info.value) == f"rho must be a real number, got {rho!r}"
+
+    @pytest.mark.parametrize("rho", [-1.0, -5.0, math.nextafter(-1.0, -math.inf)])
+    def test_single_agent_refuses_rho_at_or_below_minus_one(self, rho):
+        # As validate_params and the sampler do; n >= 2 refuses such rho at
+        # its positive-definite bound.
+        econ = validate_params(MEAN_GAME)
+        for call in (lambda: pooling_factor(1, rho),
+                     lambda: analytic_solver.optimality_residual(0.0, 1, econ, rho)):
+            with pytest.raises(ParameterError) as info:
+                call()
+            assert str(info.value) == f"rho = {rho} outside (-1, 1]"
+        assert pooling_factor(1, math.nextafter(-1.0, 0.0)) == 1.0
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_rejects_minus_infinity(self, n):

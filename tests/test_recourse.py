@@ -100,6 +100,16 @@ class TestSymmetricRecourseValue:
         with pytest.raises(ValueError, match="positive"):
             symmetric_recourse_value(SurplusShortage((1.0,), (0.0,)), 0.0)
 
+    def test_requires_finite_profit(self):
+        with pytest.raises(ValueError, match="positive"):
+            symmetric_recourse_value(SurplusShortage((1.0, 0.0), (0.0, 1.0)), math.inf)
+
+    def test_objective_past_the_float_range_raises_one_line(self):
+        ss = SurplusShortage((1e308, 0.0), (0.0, 1e308))
+        with pytest.raises(ValueError) as info:
+            symmetric_recourse_value(ss, 10.0)
+        assert str(info.value) == "recourse objective exceeds the float range (> 1.7976931348623157e+308)"
+
 
 class TestSolveTransshipmentPlan:
     def test_single_route(self):
@@ -196,6 +206,13 @@ class TestSolveTransshipmentPlan:
         ss = SurplusShortage((1.0, 0.0), (0.0, 1.0))
         with pytest.raises(ValueError, match="finite"):
             solve_transshipment_plan(ss, [[0.0, math.inf], [0.0, 0.0]])
+
+    def test_objective_past_the_float_range_raises_one_line(self):
+        # Each flow and profit fits a float; their exact product does not.
+        ss = SurplusShortage((5.0, 0.0), (0.0, 5.0))
+        with pytest.raises(ValueError) as info:
+            solve_transshipment_plan(ss, [[0.0, 1e308], [0.0, 0.0]])
+        assert str(info.value) == "recourse objective exceeds the float range (> 1.7976931348623157e+308)"
 
 
 def exact_overshoots(plan, surplus, shortage):
