@@ -18,6 +18,7 @@ units in the last place of the bound; the exact flows never do.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -132,13 +133,22 @@ class TransshipmentPlan:
     objective: float
 
 
+def _rounded(objective: Fraction) -> float:
+    """The exact objective rounded once; past the float range, a ValueError."""
+    try:
+        return float(objective)
+    except OverflowError:
+        raise ValueError("recourse objective exceeds the float range "
+                         f"(> {sys.float_info.max!r})") from None
+
+
 def symmetric_recourse_value(ss: SurplusShortage, p: float) -> float:
-    """Recourse profit for identical agents: p * min(sum(H), sum(E)), p > 0."""
-    if not p > 0.0:
-        raise ValueError(f"marginal transshipment profit p must be positive, got {p}")
+    """Recourse profit of identical agents, p * min(sum(H), sum(E)), finite p > 0."""
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"marginal transshipment profit p must be positive and finite, got {p}")
     total_h = sum(Fraction(h) for h in ss.surplus)
     total_e = sum(Fraction(e) for e in ss.shortage)
-    return float(Fraction(p) * min(total_h, total_e))
+    return _rounded(Fraction(p) * min(total_h, total_e))
 
 
 def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[float]]) -> TransshipmentPlan:
@@ -147,7 +157,8 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
     Successive most-profitable augmenting paths on the bipartite residual
     graph; augmentation stops as soon as the best path profit is no longer
     strictly positive, so routes with p_ij <= 0 never carry flow. Ties
-    between equal-profit paths resolve deterministically by index order.
+    between equal-profit paths resolve deterministically by index order. An
+    objective past the float range raises ValueError.
     """
     n = len(ss.surplus)
     if len(profit) != n or any(len(row) != n for row in profit):
@@ -192,7 +203,7 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
     objective = sum((p[i][j] * flow[i][j] for i in range(n) for j in range(n)),
                     start=Fraction(0))
     shipments = tuple(tuple(float(w) for w in row) for row in flow)
-    return TransshipmentPlan(shipments=shipments, objective=float(objective))
+    return TransshipmentPlan(shipments=shipments, objective=_rounded(objective))
 
 
 def _best_augmenting_path(n, arcs, p, flow, rem_h, rem_e):
