@@ -124,10 +124,10 @@ def _economics(params: MarketParams, t: float) -> DerivedEconomics:
                             gamma=gamma, gamma_tilde=1.0 - gamma)
 
 
-def classify_game(econ: DerivedEconomics, tol: float = MEAN_GAME_TOL) -> GameType:
-    """Over-mean, under-mean, or mean depending on the critical fractile R vs 1/2."""
+def classify_game(econ: DerivedEconomics) -> GameType:
+    """Over-mean, under-mean, or mean (within MEAN_GAME_TOL) as R vs 1/2."""
     d = econ.R - 0.5
-    if abs(d) <= tol:
+    if abs(d) <= MEAN_GAME_TOL:
         return GameType.MEAN
     return GameType.OVER_MEAN if d > 0 else GameType.UNDER_MEAN
 
@@ -161,11 +161,11 @@ def _pool_variance(n: int, rho: float) -> float:
     """1 + (n-1)*rho, the variance of n equicorrelated unit normals' sum over n.
 
     Requires an integer n >= 1 no larger than the largest float, a real
-    rho <= 1 that is not nan or -inf, and rho > -1/(n-1) for n >= 2
-    (positive-definite equicorrelation); each violation raises a one-line
-    ParameterError. Near that bound the sum cancels, so where it rounds
-    below 1/2 it is formed exactly and rounded once, which also makes the
-    bound check exact. The closed forms and the sampler share this rule.
+    rho <= 1 that is not nan or -inf, rho > -1 at n = 1, and rho > -1/(n-1)
+    for n >= 2 (positive-definite equicorrelation); each violation raises a
+    one-line ParameterError. Near that bound the sum cancels, so where it
+    rounds below 1/2 it is formed exactly and rounded once, which also makes
+    the bound check exact. The closed forms and the sampler share this rule.
     """
     if type(n) is not int:
         _check_size(n)
@@ -180,6 +180,8 @@ def _pool_variance(n: int, rho: float) -> float:
         rho = float(rho)
     if not -math.inf < rho <= 1.0:
         raise ParameterError(f"rho = {rho} > 1" if rho > 1.0 else f"rho must be a real number, got {rho}")
+    if n == 1 and rho <= -1.0:
+        raise ParameterError(f"rho = {rho} outside (-1, 1]")
     denom = 1.0 + (n - 1) * rho
     if denom < 0.5:
         num, den = rho.as_integer_ratio()
