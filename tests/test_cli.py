@@ -539,7 +539,8 @@ class TestRecourse:
         code, text = run_cli(["recourse", "--surplus-file", str(tmp_path / "ss.csv"),
                               "--profit-file", str(tmp_path / "p.csv")])
         assert (code, text) == (1, "")
-        assert capsys.readouterr().err == "error: recourse objective exceeds the float range (> 1.7976931348623157e+308)\n"
+        assert capsys.readouterr().err == ("error: recourse objective exceeds the float range "
+                                           "(> 1.7976931348623157e+308)\n")
 
     def test_short_row_rejected(self, tmp_path, capsys):
         surplus = tmp_path / "ss.csv"

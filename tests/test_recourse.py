@@ -13,6 +13,8 @@ from transship.recourse import (
     validate_general_params,
 )
 
+OVERFLOW = "recourse objective exceeds the float range (> 1.7976931348623157e+308)"
+
 
 def identical_agents(n, r=10.0, c=6.0, nu=2.0, t=2.0):
     t_matrix = tuple(tuple(0.0 if i == j else t for j in range(n)) for i in range(n))
@@ -108,7 +110,7 @@ class TestSymmetricRecourseValue:
         ss = SurplusShortage((1e308, 0.0), (0.0, 1e308))
         with pytest.raises(ValueError) as info:
             symmetric_recourse_value(ss, 10.0)
-        assert str(info.value) == "recourse objective exceeds the float range (> 1.7976931348623157e+308)"
+        assert str(info.value) == OVERFLOW
 
 
 class TestSolveTransshipmentPlan:
@@ -212,7 +214,7 @@ class TestSolveTransshipmentPlan:
         ss = SurplusShortage((5.0, 0.0), (0.0, 5.0))
         with pytest.raises(ValueError) as info:
             solve_transshipment_plan(ss, [[0.0, 1e308], [0.0, 0.0]])
-        assert str(info.value) == "recourse objective exceeds the float range (> 1.7976931348623157e+308)"
+        assert str(info.value) == OVERFLOW
 
 
 def exact_overshoots(plan, surplus, shortage):
