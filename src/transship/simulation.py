@@ -156,13 +156,13 @@ class DemandMatrix:
         sample_demands with b^2 = _pool_variance(k, rho), and Z drawn from
         Philox keyed by the seed, k normals per scenario. Each block is drawn
         and transformed in place in one reused buffer, which the next step
-        overwrites.
-        Philox's ziggurat normals use a variable number of counters, so the
-        blocks come in order from one generator, which reproduces the stream
-        of a single count x k draw bit for bit. Each row mean is the row's sum
-        (see _row_sums) divided by k, as ndarray.mean forms it, over its own
-        row, so the result does not depend on the block size. Overflow gives
-        inf entries silently, for the caller to reject.
+        overwrites. Philox's ziggurat normals use a variable number of
+        counters, so the blocks come in order from one generator, which
+        reproduces the stream of a single count x k draw bit for bit. Each row
+        mean is the row's sum (see _row_sums) divided by k, as ndarray.mean
+        forms it, over its own row, so the result does not depend on the
+        block size. Overflow gives inf entries silently, for the caller to
+        reject.
 
         At rho = 1 every column is the same demand, so k = 1: the column is
         drawn as a single agent's (a = b = 1), which makes the stream that of
