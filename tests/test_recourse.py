@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -249,3 +250,47 @@ class TestFloatPlanRounding:
             rows, cols = exact_overshoots(plan, surplus, shortage)
             for over, bound in zip(rows + cols, surplus + shortage):
                 assert over <= Fraction(n * math.ulp(bound))
+
+
+def general_plan_inputs(rng, n):
+    """Half the agents short around a common quantity, profits p_ij = r_j - nu_i - t_ij."""
+    demands = 100.0 + np.where(rng.permutation(n) < n // 2, 1.0, -1.0) * np.abs(
+        rng.normal(0.0, 20.0, n))
+    ss = SurplusShortage.from_quantities([100.0] * n, demands.tolist())
+    r = 10.0 + rng.uniform(-0.25, 0.25, n)
+    nu = 2.0 + rng.uniform(-0.25, 0.25, n)
+    t = rng.uniform(1.0, 3.0, (n, n))
+    profit = [[float(r[j] - nu[i] - (0.0 if i == j else t[i, j])) for j in range(n)]
+              for i in range(n)]
+    return ss, profit
+
+
+def uniform_plan_inputs(rng, n):
+    ss = SurplusShortage(*random_surplus_shortage(rng, n, max_units=50.0))
+    p = float(rng.uniform(0.1, 9.0))
+    return ss, [[p] * n for _ in range(n)]
+
+
+def tie_heavy_plan_inputs(rng, n):
+    """Small integer amounts and profits, so many paths tie on profit."""
+    ss = SurplusShortage(*random_surplus_shortage(rng, n, integer=True, max_units=4.0))
+    return ss, [[float(rng.integers(-1, 4)) for _ in range(n)] for _ in range(n)]
+
+
+class TestPlanDigests:
+    # sha256 of the reprs of (shipments, objective), one line per plan. The
+    # digests pin every bit of every plan, tie-breaking between equal-profit
+    # paths included, so a rewrite of the path search must keep them.
+    @pytest.mark.parametrize("make, sizes, seed, digest", [
+        (general_plan_inputs, range(2, 17), 2001,
+         "159c5342ef240197441510afc2ece97c4983df49bb1f0d8f378fc793e5c32f67"),
+        (uniform_plan_inputs, range(1, 17), 2002,
+         "f801bc9370dd8ee7830a0f262fdb0a00f9c20b33c21205d3490668de4215f726"),
+        (tie_heavy_plan_inputs, [2, 3, 5, 8, 11, 14] * 20, 2003,
+         "f7046b17382e96d6c6d7119db7b51d006f9471c31a71452886c1f005e73802aa"),
+    ], ids=["general", "uniform", "tie-heavy"])
+    def test_plans_keep_their_bits(self, make, sizes, seed, digest):
+        rng = np.random.default_rng(seed)
+        plans = [solve_transshipment_plan(*make(rng, n)) for n in sizes]
+        reprs = "\n".join(repr((plan.shipments, plan.objective)) for plan in plans)
+        assert hashlib.sha256(reprs.encode()).hexdigest() == digest
