@@ -4,7 +4,9 @@ After demands realize, surpluses H can be shipped toward shortages E; route
 (i, j) earns the marginal profit p_ij per unit and shipping is optional. For
 general agents this is a transportation problem solved here by successive
 most-profitable augmenting paths; for identical agents it collapses to
-p * min(sum(H), sum(E)).
+p * min(sum(H), sum(E)). A path is the list of agents it visits, surplus and
+shortage agents in turn, and the solver sums the objective as it augments:
+each path adds its exact profit times the units it carries.
 
 All internal arithmetic uses `fractions.Fraction`. Float inputs are dyadic
 rationals, so sums, minima, and products stay exact and the results round to
@@ -157,8 +159,15 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
     Successive most-profitable augmenting paths on the bipartite residual
     graph; augmentation stops as soon as the best path profit is no longer
     strictly positive, so routes with p_ij <= 0 never carry flow. Ties
-    between equal-profit paths resolve deterministically by index order. An
-    objective past the float range raises ValueError.
+    between equal-profit paths resolve deterministically by index order.
+
+    Each path [i0, j0, ..., ik, jk] ships along (i0, j0), ..., (ik, jk) and
+    takes flow back along (i1, j0), ..., (ik, j(k-1)). Its bottleneck is
+    positive: i0 has no predecessor, so it has spare surplus; jk is chosen
+    with spare shortage; and a route is taken back only while it carries
+    flow. Each augmentation raises sum(p_ij * W_ij) by exactly the path's
+    gain times its bottleneck, so the objective is that running sum, rounded
+    once; past the float range it raises ValueError.
     """
     n = len(ss.surplus)
     if len(profit) != n or any(len(row) != n for row in profit):
@@ -177,31 +186,25 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
     arcs = [(i, j) for i in range(n) for j in range(n)
             if p[i][j] > 0 and ss.surplus[i] > 0.0 and ss.shortage[j] > 0.0]
 
+    objective = Fraction(0)
     max_rounds = 4 * (len(arcs) + 2 * n) + 16
     for _ in range(max_rounds):
-        path = _best_augmenting_path(n, arcs, p, flow, rem_h, rem_e)
-        if path is None:
+        found = _best_augmenting_path(n, arcs, p, flow, rem_h, rem_e)
+        if found is None:
             break
-        start, end, edges = path
-        bottleneck = min(
-            rem_h[start], rem_e[end],
-            *(flow[i][j] for kind, i, j in edges if kind == "B"),
-            )
-        if bottleneck <= 0:
-            break
-        for kind, i, j in edges:
-            if kind == "F":
-                flow[i][j] += bottleneck
-            else:
-                flow[i][j] -= bottleneck
-        rem_h[start] -= bottleneck
-        rem_e[end] -= bottleneck
+        gain, path = found
+        back = list(zip(path[2::2], path[1::2]))
+        bottleneck = min(rem_h[path[0]], rem_e[path[-1]], *(flow[i][j] for i, j in back))
+        for i, j in zip(path[0::2], path[1::2]):
+            flow[i][j] += bottleneck
+        for i, j in back:
+            flow[i][j] -= bottleneck
+        rem_h[path[0]] -= bottleneck
+        rem_e[path[-1]] -= bottleneck
+        objective += gain * bottleneck
     else:
         raise RuntimeError("augmenting-path loop failed to terminate")
 
-    # Row-major exact objective, rounded to float exactly once.
-    objective = sum((p[i][j] * flow[i][j] for i in range(n) for j in range(n)),
-                    start=Fraction(0))
     shipments = tuple(tuple(float(w) for w in row) for row in flow)
     return TransshipmentPlan(shipments=shipments, objective=_rounded(objective))
 
@@ -209,15 +212,19 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
 def _best_augmenting_path(n, arcs, p, flow, rem_h, rem_e):
     """Most profitable residual path from spare surplus to spare shortage.
 
-    Bellman-Ford on negated profits. Returns (start_agent, end_agent, edges)
-    where edges is the forward/backward arc sequence, or None when no path
-    with strictly positive profit remains. Successive shortest-path
-    augmentation keeps the residual graph free of negative cycles.
+    Bellman-Ford on negated profits: pred_e[j] is the agent that ships to j,
+    pred_h[i] the agent whose flow from i is taken back, which only a route
+    with flow > 0 allows. Returns (gain, path), where path lists the agents
+    visited, [i0, j0, ..., ik, jk], and gain = -dist_e[jk] is its exact
+    profit; jk is the first agent by index with spare shortage and the least
+    distance. Returns None when no path with strictly positive profit
+    remains. Successive shortest-path augmentation keeps the residual graph
+    free of negative cycles.
     """
     dist_h: list[Fraction | None] = [Fraction(0) if rem_h[i] > 0 else None for i in range(n)]
     dist_e: list[Fraction | None] = [None] * n
-    pred_h: list[tuple[int, int] | None] = [None] * n
-    pred_e: list[tuple[int, int] | None] = [None] * n
+    pred_h: list[int | None] = [None] * n
+    pred_e: list[int | None] = [None] * n
 
     for _ in range(2 * n + 1):
         changed = False
@@ -226,13 +233,13 @@ def _best_augmenting_path(n, arcs, p, flow, rem_h, rem_e):
                 cand = dist_h[i] - p[i][j]
                 if dist_e[j] is None or cand < dist_e[j]:
                     dist_e[j] = cand
-                    pred_e[j] = (i, j)
+                    pred_e[j] = i
                     changed = True
             if flow[i][j] > 0 and dist_e[j] is not None:
                 cand = dist_e[j] + p[i][j]
                 if dist_h[i] is None or cand < dist_h[i]:
                     dist_h[i] = cand
-                    pred_h[i] = (i, j)
+                    pred_h[i] = j
                     changed = True
         if not changed:
             break
@@ -240,26 +247,21 @@ def _best_augmenting_path(n, arcs, p, flow, rem_h, rem_e):
         raise RuntimeError("negative cycle detected in residual graph")
 
     end = None
-    best: Fraction | None = None
     for j in range(n):
-        if rem_e[j] > 0 and dist_e[j] is not None and (best is None or dist_e[j] < best):
-            best = dist_e[j]
+        if rem_e[j] > 0 and dist_e[j] is not None and (end is None or dist_e[j] < dist_e[end]):
             end = j
-    if end is None or best is None or -best <= 0:
+    if end is None or dist_e[end] >= 0:
         return None
 
     # Walk predecessors back from the chosen shortage to a spare surplus.
-    edges: list[tuple[str, int, int]] = []
-    j = end
+    path = [end]
     for _ in range(2 * len(arcs) + 2):
-        i, _ = pred_e[j]
-        edges.append(("F", i, j))
+        i = pred_e[path[-1]]
+        path.append(i)
         if pred_h[i] is None:
-            start = i
             break
-        _, j = pred_h[i]
-        edges.append(("B", i, j))
+        path.append(pred_h[i])
     else:
         raise RuntimeError("predecessor walk failed to reach an origin")
-    edges.reverse()
-    return start, end, edges
+    path.reverse()
+    return -dist_e[end], path
