@@ -181,10 +181,14 @@ def _read_surplus_file(path: str) -> SurplusShortage:
         if header is None or [h.strip() for h in header] != ["agent", "H", "E"]:
             raise ParameterError(f"{path}: expected header 'agent,H,E'")
         for lineno, row in enumerate(reader, start=2):
-            if not row:
+            if not "".join(row).strip():
                 continue
             if len(row) != 3:
                 raise ParameterError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            # The profit matrix and the plan are indexed by row, so row k is agent k.
+            agent = str(len(surplus) + 1)
+            if row[0].strip() != agent:
+                raise ParameterError(f"{path}:{lineno}: expected agent {agent}, got {row[0]!r}")
             try:
                 surplus.append(float(row[1]))
                 shortage.append(float(row[2]))

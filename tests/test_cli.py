@@ -552,6 +552,27 @@ class TestRecourse:
         assert code != 0
         assert "expected 3 fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("surplus_text,bad", [
+        ("agent,H,E\n7,1.5,0\n3,0,1\n", "ss.csv:2: expected agent 1, got '7'"),
+        ("agent,H,E\n2,1.5,0\n1,0,1\n", "ss.csv:2: expected agent 1, got '2'"),
+        ("agent,H,E\n1,1,0\n1,0,1\n", "ss.csv:3: expected agent 2, got '1'"),
+        ("agent,H,E\n1.0,1,0\n2,0,1\n", "ss.csv:2: expected agent 1, got '1.0'"),
+    ], ids=["unlisted", "out-of-order", "repeated", "non-integer"])
+    def test_agent_labels_must_number_the_rows(self, tmp_path, capsys, surplus_text, bad):
+        (tmp_path / "ss.csv").write_text(surplus_text)
+        (tmp_path / "p.csv").write_text("0,5\n0,0\n")
+        code, text = run_cli(["recourse", "--surplus-file", str(tmp_path / "ss.csv"),
+                              "--profit-file", str(tmp_path / "p.csv")])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"error: {tmp_path / bad}\n"
+
+    def test_blank_rows_skipped(self, tmp_path):
+        (tmp_path / "ss.csv").write_text("agent,H,E\n1,1.5,0\n \n\n2,0,1\n  \n")
+        (tmp_path / "p.csv").write_text("0,5\n \n0,0\n")
+        code, text = run_cli(["recourse", "--surplus-file", str(tmp_path / "ss.csv"),
+                              "--profit-file", str(tmp_path / "p.csv")])
+        assert (code, text) == (0, "from,to,quantity\r\n1,2,1.0\r\nobjective,5.0\r\n")
+
 
 class TestConfigFile:
     def test_config_supplies_params(self, tmp_path):
