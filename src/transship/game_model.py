@@ -235,9 +235,11 @@ def load_params(path: Union[str, Path]) -> MarketParams:
     """Read a flat key=value config file (keys r, c, nu, t, mu, sigma, rho).
 
     Blank lines and '#' comments are ignored. Values are parsed with float(),
-    which is locale-independent and exact for decimal literals.
+    which is locale-independent and exact for decimal literals. A key set
+    twice is refused.
     """
     values: dict[str, float] = {}
+    first_set: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -246,6 +248,10 @@ def load_params(path: Union[str, Path]) -> MarketParams:
             raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in first_set:
+            raise ParameterError(f"{path}:{lineno}: {key} set again "
+                                 f"(first set on line {first_set[key]})")
+        first_set[key] = lineno
         try:
             values[key] = float(value.strip())
         except ValueError as exc:

@@ -590,6 +590,13 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(text)["allocation"] == pytest.approx(360.1057719598567, abs=1e-9)
 
+    def test_key_set_twice_exits_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("r=10\nc=8\nnu=2\nt=1\nmu=100\nsigma=20\nrho=0.3\nc=9\n")
+        code, text = run_cli(["solve", "--config", str(cfg), "--n", "2"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"error: {cfg}:8: c set again (first set on line 2)\n"
+
     def test_missing_param_reported(self, capsys):
         code, _ = run_cli(["solve", "--r", "10", "--c", "6", "--n", "1"])
         assert code != 0
