@@ -5,44 +5,13 @@ transshipment amounts, large-coalition limits, and equal core allocations,
 validated against Monte Carlo simulation and exact oracles.
 """
 
-from .analytic_solver import (
-    LimitResult,
-    Regime,
-    SequenceReport,
-    SolveResult,
-    UnsupportedRegimeError,
-    equal_allocation,
-    expected_profit,
-    expected_transshipment,
-    finite_rho_limit_diagnostic,
-    limit_analysis,
-    optimality_residual,
-    quantity_sequence,
-    solve_optimal_quantity,
-)
-from .core_analysis import CoreReport, characteristic_values, check_equal_allocation_core
-from .game_model import (
-    DerivedEconomics,
-    FeasibilityReport,
-    GameType,
-    MarketParams,
-    ParameterError,
-    classify_game,
-    demand_feasibility_check,
-    load_params,
-    params_from_mapping,
-    pooling_factor,
-    validate_params,
-)
-from .normal_math import cdf_antiderivative, std_cdf, std_inv_cdf, std_pdf
-from .recourse import (
-    GeneralAgentParams,
-    SurplusShortage,
-    TransshipmentPlan,
-    solve_transshipment_plan,
-    symmetric_recourse_value,
-    validate_general_params,
-)
+from . import analytic_solver, core_analysis, game_model, normal_math, recourse
+from .analytic_solver import *
+from .core_analysis import *
+from .game_model import *
+from .normal_math import *
+from .recourse import *
+
 # The Monte Carlo sampler, the estimators and the grid oracle live in
 # `simulation`, the one module that needs numpy. It is imported on first use
 # of any of these names (PEP 562), so the scalar solver starts without numpy.
@@ -57,43 +26,8 @@ _SIMULATION_NAMES = frozenset({
 })
 
 __all__ = [
-    "LimitResult",
-    "Regime",
-    "SequenceReport",
-    "SolveResult",
-    "UnsupportedRegimeError",
-    "equal_allocation",
-    "expected_profit",
-    "expected_transshipment",
-    "finite_rho_limit_diagnostic",
-    "limit_analysis",
-    "optimality_residual",
-    "quantity_sequence",
-    "solve_optimal_quantity",
-    "CoreReport",
-    "characteristic_values",
-    "check_equal_allocation_core",
-    "DerivedEconomics",
-    "FeasibilityReport",
-    "GameType",
-    "MarketParams",
-    "ParameterError",
-    "classify_game",
-    "demand_feasibility_check",
-    "load_params",
-    "params_from_mapping",
-    "pooling_factor",
-    "validate_params",
-    "cdf_antiderivative",
-    "std_cdf",
-    "std_inv_cdf",
-    "std_pdf",
-    "GeneralAgentParams",
-    "SurplusShortage",
-    "TransshipmentPlan",
-    "solve_transshipment_plan",
-    "symmetric_recourse_value",
-    "validate_general_params",
+    *(name for module in (analytic_solver, core_analysis, game_model, normal_math, recourse)
+      for name in module.__all__),
     *sorted(_SIMULATION_NAMES),
 ]
 

@@ -193,6 +193,14 @@ def test_all_lists_every_public_name():
     assert transship.simulation is simulation
 
 
+def test_all_names_each_public_name_once():
+    from transship import analytic_solver, core_analysis, game_model, normal_math, recourse
+    modules = (analytic_solver, core_analysis, game_model, normal_math, recourse)
+    assert len(transship.__all__) == len(set(transship.__all__))
+    assert set(transship.__all__) == {
+        *(name for module in modules for name in module.__all__), *SIMULATION_NAMES}
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         transship.no_such_name
