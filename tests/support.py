@@ -1,13 +1,31 @@
-"""Shared helpers for the test suite: random valid parameter sets and oracles."""
+"""Shared helpers for the test suite: random valid parameter sets, oracles,
+and a fresh interpreter to run code in."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import transship
 from transship.game_model import MarketParams
+
+SRC = Path(transship.__file__).resolve().parents[1]
+
+
+def run_fresh(code, *args, returncode=0):
+    """Run `code` in a fresh interpreter in which every warning is an error."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == returncode, done.stderr
+    return done
 
 
 def random_market_params(rng: np.random.Generator, rho=None,

@@ -5,17 +5,13 @@ checked in a fresh interpreter.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from support import run_fresh
 import transship
 from transship import simulation
 
-SRC = Path(transship.__file__).resolve().parents[1]
 SIMULATION_NAMES = ("DemandMatrix", "McEstimate", "sample_demands", "estimate_profit",
                     "estimate_transshipment", "brute_force_optimal", "dump_scenarios")
 MARKET = ["--r", "10", "--c", "6", "--nu", "2", "--t", "2",
@@ -78,16 +74,6 @@ for fmt in ("table", "csv", "json"):
 print(json.dumps({"steps": steps, "codes": codes, "listed": listed, "exposed": exposed,
                   "simulate": simulate}))
 """
-
-
-def run_fresh(code, *args, returncode=0):
-    """Run `code` in a fresh interpreter in which every warning is an error."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == returncode, done.stderr
-    return done
 
 
 @pytest.fixture(scope="module")
