@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -447,6 +448,32 @@ class TestLimitAnalysis:
         gap_large = abs(solve_optimal_quantity(100_000, params).y_opt - target)
         assert gap_large < gap_small
         assert gap_large <= 1e-3
+
+    def test_limits_keep_their_bits(self):
+        # sha256 of repr(limit_analysis(p)), one line per rho = 0 market:
+        # seeded over- and under-mean markets, mean markets, and R = 1e-10 and
+        # 1 - 1e-10 with t below, at and above the cut.
+        rng = np.random.default_rng(2101)
+        markets = [random_market_params(rng, rho=0.0) for _ in range(300)]
+        for _ in range(20):
+            r, nu = rng.uniform(5.0, 50.0), rng.uniform(0.5, 4.0)
+            markets.append(MarketParams(r=r, c=r - 0.5 * (r - nu), nu=nu,
+                                        t=(r - nu) * rng.uniform(0.0, 0.95),
+                                        mu=100, sigma=20, rho=0))
+        for fractile in (1e-10, 1.0 - 1e-10):
+            r, nu = rng.uniform(5.0, 50.0), rng.uniform(0.5, 4.0)
+            w = min(fractile, 1.0 - fractile) * (r - nu)
+            markets += [MarketParams(r=r, c=r - fractile * (r - nu), nu=nu, t=t,
+                                     mu=100, sigma=20, rho=0)
+                        for t in (0.0, 0.5 * w, 2.0 * w, 0.5 * (r - nu))]
+        results = [limit_analysis(p) for p in markets]
+        assert {(res.game_type, res.regime) for res in results} == {
+            (GameType.MEAN, Regime.BELOW_CUT),
+            *((game, regime) for game in (GameType.OVER_MEAN, GameType.UNDER_MEAN)
+              for regime in Regime)}
+        reprs = "\n".join(repr(res) for res in results)
+        assert hashlib.sha256(reprs.encode()).hexdigest() == (
+            "90e50dee2e64594fa512c1ca4da119835a816f23bf2887968ba338986f37f694")
 
 
 class TestQuantitySequence:

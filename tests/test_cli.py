@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from support import edge_markets
+from support import edge_markets, run_fresh
 from transship import analytic_solver
 from transship.analytic_solver import limit_analysis, solve_optimal_quantity
 from transship.cli import DEFAULT_SEED, SWEEP_HEADER, main
@@ -601,6 +602,54 @@ class TestConfigFile:
         code, _ = run_cli(["solve", "--r", "10", "--c", "6", "--n", "1"])
         assert code != 0
         assert "missing parameter" in capsys.readouterr().err
+
+    def test_flag_completes_config(self, tmp_path):
+        cfg = tmp_path / "partial.cfg"
+        cfg.write_text("r=10\nnu=2\nt=1\nmu=100\nsigma=20\nrho=0.3\n")
+        expected = run_cli(["solve", *MARKET, "--n", "2"])
+        assert expected[0] == 0
+        assert run_cli(["solve", "--config", str(cfg), "--c", "8", "--n", "2"]) == expected
+
+    def test_comments_only_config_with_every_flag(self, tmp_path):
+        cfg = tmp_path / "notes.cfg"
+        cfg.write_text("# the market comes from flags\n\n")
+        expected = run_cli(["solve", *MARKET, "--n", "2"])
+        assert run_cli(["solve", "--config", str(cfg), *MARKET, "--n", "2"]) == expected
+
+    def test_key_in_neither_file_nor_flags_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "partial.cfg"
+        cfg.write_text("r=10\nnu=2\nt=1\nmu=100\nsigma=20\nrho=0.3\n")
+        assert run_cli(["solve", "--config", str(cfg), "--n", "2"]) == (1, "")
+        assert capsys.readouterr().err == "error: missing parameter(s): c\n"
+
+    def test_partial_config_setting_a_key_twice_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("r=10\nnu=2\n# again\nr=11\n")
+        code, text = run_cli(["solve", "--config", str(cfg), *MARKET[2:4], *MARKET[6:],
+                              "--n", "2"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"error: {cfg}:4: r set again (first set on line 1)\n"
+
+
+# Runs the CLI in a process whose address space is capped at 3 GiB, so an
+# allocation numpy cannot make fails at once instead of exhausting the machine.
+LIMITED_CLI = """
+import resource, sys
+limit = 3 * 2**30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import transship.cli
+sys.exit(transship.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="relies on Linux enforcing RLIMIT_AS")
+@pytest.mark.parametrize("sizes", [["--n", "4", "--count", "1000000000"],
+                                   ["--n", "1000000000", "--count", "2"]],
+                         ids=["count-long-totals", "n-wide-block-row"])
+def test_memory_failure_is_one_error_line(sizes):
+    done = run_fresh(LIMITED_CLI, "simulate", *MARKET, *sizes, returncode=1)
+    assert done.stdout == ""
+    assert re.fullmatch(r"error: Unable to allocate 7\.45 GiB [^\n]*\n", done.stderr)
 
 
 # The golden cases: every subcommand in every format, each --help and one
