@@ -336,20 +336,17 @@ def _limit_at(params: MarketParams, t: float) -> LimitResult:
         # Validation forces t < r - nu = 2g when R = 1/2, so the cut is unreachable.
         cut = 2.0 * econ.g
         regime, phi_y, phi_ly = Regime.BELOW_CUT, 0.5, 0.5
-    elif game_type is GameType.OVER_MEAN:
-        cut = 2.0 * econ.g_tilde
-        if half_t < econ.g_tilde:
-            regime, phi_y = Regime.BELOW_CUT, 0.5
-            phi_ly = 1.0 - (econ.g_tilde - half_t) / econ.p
-        else:
-            regime, phi_y, phi_ly = Regime.AT_OR_ABOVE_CUT, 1.0 - econ.g_tilde / t, 1.0
     else:
-        cut = 2.0 * econ.g
-        if half_t < econ.g:
-            regime, phi_y = Regime.BELOW_CUT, 0.5
-            phi_ly = (econ.g - half_t) / econ.p
+        # An over-mean game is the under-mean one with g~ for g, reflected: 1 - each Phi.
+        over = game_type is GameType.OVER_MEAN
+        w = econ.g_tilde if over else econ.g
+        cut = 2.0 * w
+        if half_t < w:
+            regime, phi_y, phi_ly = Regime.BELOW_CUT, 0.5, (w - half_t) / econ.p
         else:
-            regime, phi_y, phi_ly = Regime.AT_OR_ABOVE_CUT, econ.g / t, 0.0
+            regime, phi_y, phi_ly = Regime.AT_OR_ABOVE_CUT, w / t, 0.0
+        if over:
+            phi_y, phi_ly = 1.0 - phi_y, 1.0 - phi_ly
     return LimitResult(
         game_type=game_type,
         regime=regime,

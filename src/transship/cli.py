@@ -25,7 +25,7 @@ from dataclasses import asdict
 from typing import Iterable, Optional, Sequence
 
 from . import analytic_solver, core_analysis
-from .game_model import PARAM_KEYS, MarketParams, ParameterError, load_params, params_from_mapping
+from .game_model import PARAM_KEYS, MarketParams, ParameterError, _read_config, params_from_mapping
 from .recourse import SurplusShortage, solve_transshipment_plan
 
 __all__ = ["main", "entrypoint", "DEFAULT_SEED"]
@@ -43,14 +43,12 @@ def _fmt(value) -> str:
 
 
 def _resolve_params(args: argparse.Namespace, defaults: Optional[dict] = None) -> MarketParams:
-    values: dict[str, float] = dict(defaults or {})
+    """The market from the defaults, then the --config file's keys, then the
+    flags given, each later source overriding the earlier."""
+    values = dict(defaults or {})
     if args.config:
-        base = load_params(args.config)
-        values.update({k: getattr(base, k) for k in PARAM_KEYS})
-    for key in PARAM_KEYS:
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
+        values.update(_read_config(args.config))
+    values.update((k, getattr(args, k)) for k in PARAM_KEYS if getattr(args, k) is not None)
     return params_from_mapping(values)
 
 
@@ -293,8 +291,9 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[io.TextIOBase] = No
     out = out if out is not None else sys.stdout
     try:
         return args.func(args, out)
-    except (ValueError, RuntimeError, OSError) as exc:
-        # covers ParameterError and UnsupportedRegimeError; one-line reason, nonzero exit
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # covers ParameterError, UnsupportedRegimeError and numpy's failed
+        # allocations; one-line reason, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -231,12 +231,13 @@ def params_from_mapping(mapping: Mapping[str, float]) -> MarketParams:
     return MarketParams(**{k: float(mapping[k]) for k in PARAM_KEYS})
 
 
-def load_params(path: Union[str, Path]) -> MarketParams:
-    """Read a flat key=value config file (keys r, c, nu, t, mu, sigma, rho).
+def _read_config(path: Union[str, Path]) -> dict[str, float]:
+    """The keys a flat key=value config file sets, each with its value.
 
     Blank lines and '#' comments are ignored. Values are parsed with float(),
-    which is locale-independent and exact for decimal literals. A key set
-    twice is refused.
+    which is locale-independent and exact for decimal literals. A line
+    without '=', a bad number or a key set twice is a ParameterError naming
+    the file and line. Which keys are present is left to the caller.
     """
     values: dict[str, float] = {}
     first_set: dict[str, int] = {}
@@ -256,4 +257,13 @@ def load_params(path: Union[str, Path]) -> MarketParams:
             values[key] = float(value.strip())
         except ValueError as exc:
             raise ParameterError(f"{path}:{lineno}: bad number for {key}: {value.strip()!r}") from exc
-    return params_from_mapping(values)
+    return values
+
+
+def load_params(path: Union[str, Path]) -> MarketParams:
+    """Read a config file that sets each of r, c, nu, t, mu, sigma, rho once.
+
+    The file's format and line-numbered errors are those of _read_config;
+    a missing or unknown key is refused as by params_from_mapping.
+    """
+    return params_from_mapping(_read_config(path))
