@@ -287,6 +287,12 @@ class TestExpectedTransshipment:
             for y in (-1.0, 0.0, 2.0):
                 assert expected_transshipment(y, n, params) == 0.0
 
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_y(self, y):
+        with pytest.raises(ValueError) as info:
+            expected_transshipment(y, 3, MEAN_GAME)
+        assert str(info.value) == f"y must be finite, got {y!r}"
+
     def test_value_at_origin(self):
         assert expected_transshipment(0.0, 4, MEAN_GAME) == pytest.approx(
             15.957691216057308, abs=1e-12)

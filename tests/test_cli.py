@@ -167,6 +167,16 @@ class TestSweep:
         assert code == 1 and text == ""
         assert "--steps 6 requested; at most 5 per call" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid,bad", [
+        (["--over", "t", "--from", "0", "--to", "7", "--steps", "1"], "--steps must be >= 2, got 1"),
+        (["--over", "n", "--from", "0", "--to", "3"], "--over n needs 1 <= from <= to, got 0..3"),
+        (["--over", "n", "--from", "5", "--to", "3"], "--over n needs 1 <= from <= to, got 5..3"),
+    ], ids=["one-step", "n-from-zero", "n-descending"])
+    def test_bad_grid_exits_with_one_line(self, capsys, grid, bad):
+        code, text = run_cli(["sweep", *grid, *UNDER_ARGS, "--t", "1"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"error: {bad}\n"
+
     def test_over_n_requires_integer_bounds(self, capsys):
         code, _ = run_cli(["sweep", "--over", "n", "--from", "1.5", "--to", "4",
                            *MEAN_ARGS, "--format", "csv"])
@@ -573,6 +583,29 @@ class TestRecourse:
         code, text = run_cli(["recourse", "--surplus-file", str(tmp_path / "ss.csv"),
                               "--profit-file", str(tmp_path / "p.csv")])
         assert (code, text) == (0, "from,to,quantity\r\n1,2,1.0\r\nobjective,5.0\r\n")
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("table", "from,to,quantity\r\nobjective,0.0\r\n"),
+        ("csv", "from,to,quantity\r\nobjective,0.0\r\n"),
+        ("json", '{"shipments": [[0.0, 0.0], [0.0, 0.0]], "objective": 0.0}\n'),
+    ])
+    def test_plan_without_shipments(self, tmp_path, fmt, expected):
+        # Both agents hold surplus, so no route is used: the header and the
+        # objective row, or the full zero matrix in JSON.
+        (tmp_path / "ss.csv").write_text("agent,H,E\n1,1,0\n2,2,0\n")
+        (tmp_path / "p.csv").write_text("0,5\n5,0\n")
+        assert run_cli(["recourse", "--surplus-file", str(tmp_path / "ss.csv"),
+                        "--profit-file", str(tmp_path / "p.csv"),
+                        "--format", fmt]) == (0, expected)
+
+    def test_header_must_be_on_line_one(self, tmp_path, capsys):
+        # Blank data rows are skipped, but a blank first line is not a header.
+        (tmp_path / "ss.csv").write_text("\nagent,H,E\n1,1,0\n2,0,1\n")
+        (tmp_path / "p.csv").write_text("0,5\n0,0\n")
+        code, text = run_cli(["recourse", "--surplus-file", str(tmp_path / "ss.csv"),
+                              "--profit-file", str(tmp_path / "p.csv")])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"error: {tmp_path / 'ss.csv'}: expected header 'agent,H,E'\n"
 
 
 class TestConfigFile:

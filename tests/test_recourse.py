@@ -56,6 +56,16 @@ class TestValidateGeneralParams:
         violations = validate_general_params(params)
         assert any(v.startswith("c_i < c_j + t_ji") for v in violations)
 
+    def test_price_inequalities(self):
+        # c_2 = r_2, and r_1 = 20 >= r_2 + t_21 = 12 makes agent 1 buy from agent 2
+        params = GeneralAgentParams(
+            r=(20.0, 10.0), c=(6.0, 10.0), nu=(2.0, 2.0),
+            t=((0.0, 2.0), (2.0, 0.0)),
+        )
+        violations = validate_general_params(params)
+        assert "c < r violated at agent 2" in violations
+        assert "r_i < r_j + t_ji violated at (i, j) = (1, 2)" in violations
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="equal lengths"):
             GeneralAgentParams(r=(10.0,), c=(6.0, 6.0), nu=(2.0,), t=((0.0,),))
@@ -74,6 +84,10 @@ class TestSurplusShortage:
         ss = SurplusShortage.from_quantities((5.0, 5.0, 5.0), (3.0, 5.0, 9.0))
         assert ss.surplus == (2.0, 0.0, 0.0)
         assert ss.shortage == (0.0, 0.0, 4.0)
+
+    def test_from_quantities_length_mismatch(self):
+        with pytest.raises(ValueError, match="^quantities and demands must have equal lengths$"):
+            SurplusShortage.from_quantities([1.0, 2.0], [1.0])
 
     def test_mutual_exclusivity_enforced(self):
         with pytest.raises(ValueError, match="both surplus and shortage"):
