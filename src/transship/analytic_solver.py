@@ -219,17 +219,21 @@ def _build_result(n: int, q: float, econ: DerivedEconomics, params: MarketParams
     )
 
 
-def _solve_sizes(params: MarketParams, sizes: range, ts: Optional[Sequence[float]] = None
-                 ) -> tuple[DerivedEconomics, Iterator[SolveResult]]:
-    """Validate the market once, then solve each size in sizes as it is drawn:
-    the loop behind every SolveResult. Given monotone transport costs ts, it
-    solves the one size in sizes at each t in ts instead of at params.t.
+def _solve_sizes(params: MarketParams, first: int, last: int,
+                 ts: Optional[Sequence[float]] = None) -> Iterator[SolveResult]:
+    """Validate the market once, then solve each size n = first..last as it is
+    drawn: the loop behind every SolveResult. Given monotone transport costs
+    ts, it solves the size first (= last) at each t in ts instead of at params.t.
 
     Every check that does not need a solve runs here, before the first result:
-    the market at the first t, the size cap, the rho domain at the largest size,
-    Phi^-1(R) and the market at the last t (the valid t form an interval). A
-    result that overflows the float range raises when it is drawn.
+    that both bounds are integers, the market at the first t, the size cap, the
+    rho domain at the largest size, Phi^-1(R) and the market at the last t (the
+    valid t form an interval). A result that overflows the float range raises
+    when it is drawn. Each result's n is a Python int.
     """
+    _check_size(first)
+    _check_size(last)
+    sizes = range(first, last + 1)
     econ = validate_params(params if ts is None else replace(params, t=ts[0]))
     count = sizes.stop - sizes.start  # len() overflows past 2**63 sizes
     if count > _MAX_SIZES:
@@ -237,19 +241,18 @@ def _solve_sizes(params: MarketParams, sizes: range, ts: Optional[Sequence[float
     pooling_factor(sizes.stop - 1, params.rho)  # n >= 1, rho > -1/(n-1): fail before any solve
     q = _fractile_quantile(econ)
     if ts is None:
-        return econ, (_build_result(n, q, econ, params) for n in sizes)
+        return (_build_result(n, q, econ, params) for n in sizes)
     try:
         validate_params(replace(params, t=ts[-1]))
     except ParameterError:
         for t in ts:  # name the first t out of range; at the latest ts[-1] raises
             validate_params(replace(params, t=t))
-    return econ, (_build_result(sizes.start, q, _economics(params, t), params) for t in ts)
+    return (_build_result(sizes.start, q, _economics(params, t), params) for t in ts)
 
 
 def solve_optimal_quantity(n: int, params: MarketParams) -> SolveResult:
     """Solve the size-n coalition problem and evaluate all closed forms at it."""
-    _check_size(n)
-    _, (result,) = _solve_sizes(params, range(n, n + 1))
+    (result,) = _solve_sizes(params, n, n)
     return result
 
 
@@ -374,10 +377,8 @@ def finite_rho_limit_diagnostic(params: MarketParams) -> float:
 
 def quantity_sequence(params: MarketParams, n_max: int) -> tuple[list[SolveResult], SequenceReport]:
     """Solve for n = 1..n_max and report the monotonicity of {Y_n} and {L_n Y_n}."""
-    _check_size(n_max)
-    econ, results = _solve_sizes(params, range(1, n_max + 1))
-    results = list(results)
-    game_type = classify_game(econ)
+    results = list(_solve_sizes(params, 1, n_max))
+    game_type = classify_game(_economics(params, params.t))
     # One rule on s = sign(R - 1/2): s*Y_n falls and stays positive, s*L_n*Y_n rises.
     # A mean game has s = 0, so its Y_n count as 0 and every comparison is equal.
     s = {GameType.OVER_MEAN: 1, GameType.UNDER_MEAN: -1, GameType.MEAN: 0}[game_type]

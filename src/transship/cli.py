@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import analytic_solver, core_analysis
 from .game_model import PARAM_KEYS, MarketParams, ParameterError, _read_config, params_from_mapping
@@ -102,7 +102,7 @@ def _cmd_sweep(args, out) -> int:
         if not math.isfinite(span):
             raise ParameterError(f"--to - --from must be finite, got {span!r}")
         ts = [args.sweep_from + span * k / (args.steps - 1) for k in range(args.steps)]
-        _, results = analytic_solver._solve_sizes(params, range(args.n, args.n + 1), ts)
+        results = analytic_solver._solve_sizes(params, args.n, args.n, ts)
         rows = (_sweep_row(t, res, _limit_column(params, t)) for t, res in zip(ts, results))
     else:
         if args.sweep_from != int(args.sweep_from) or args.sweep_to != int(args.sweep_to):
@@ -110,7 +110,7 @@ def _cmd_sweep(args, out) -> int:
         lo, hi = int(args.sweep_from), int(args.sweep_to)
         if lo < 1 or hi < lo:
             raise ParameterError(f"--over n needs 1 <= from <= to, got {lo}..{hi}")
-        _, results = analytic_solver._solve_sizes(params, range(lo, hi + 1))
+        results = analytic_solver._solve_sizes(params, lo, hi)
         y_inf = _limit_column(params, params.t)
         rows = (_sweep_row(float(res.n), res, y_inf) for res in results)
     _emit_rows(SWEEP_HEADER, rows, "json" if args.format == "json" else "csv", out)
@@ -170,41 +170,44 @@ def _cmd_core_check(args, out) -> int:
     return 0
 
 
+def _csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each row of the CSV file at path that is not blank."""
+    with open(path, newline="") as handle:
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if "".join(row).strip():
+                yield lineno, row
+
+
+def _floats(path: str, lineno: int, fields: Sequence[str]) -> list[float]:
+    """The fields as floats, or a ParameterError naming the file and line."""
+    try:
+        return [float(v) for v in fields]
+    except ValueError as exc:
+        raise ParameterError(f"{path}:{lineno}: {exc}") from None
+
+
 def _read_surplus_file(path: str) -> SurplusShortage:
+    rows = _csv_rows(path)
+    lineno, header = next(rows, (None, None))
+    if lineno != 1 or [h.strip() for h in header] != ["agent", "H", "E"]:
+        raise ParameterError(f"{path}: expected header 'agent,H,E'")
     surplus: list[float] = []
     shortage: list[float] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["agent", "H", "E"]:
-            raise ParameterError(f"{path}: expected header 'agent,H,E'")
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) != 3:
-                raise ParameterError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            # The profit matrix and the plan are indexed by row, so row k is agent k.
-            agent = str(len(surplus) + 1)
-            if row[0].strip() != agent:
-                raise ParameterError(f"{path}:{lineno}: expected agent {agent}, got {row[0]!r}")
-            try:
-                surplus.append(float(row[1]))
-                shortage.append(float(row[2]))
-            except ValueError as exc:
-                raise ParameterError(f"{path}:{lineno}: {exc}") from None
+    for lineno, row in rows:
+        if len(row) != 3:
+            raise ParameterError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        # The profit matrix and the plan are indexed by row, so row k is agent k.
+        agent = str(len(surplus) + 1)
+        if row[0].strip() != agent:
+            raise ParameterError(f"{path}:{lineno}: expected agent {agent}, got {row[0]!r}")
+        h, e = _floats(path, lineno, row[1:])
+        surplus.append(h)
+        shortage.append(e)
     return SurplusShortage(surplus=tuple(surplus), shortage=tuple(shortage))
 
 
 def _read_profit_file(path: str, n: int) -> list[list[float]]:
-    matrix: list[list[float]] = []
-    with open(path, newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                matrix.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParameterError(f"{path}:{lineno}: {exc}") from None
+    matrix = [_floats(path, lineno, row) for lineno, row in _csv_rows(path)]
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ParameterError(f"{path}: expected an {n} x {n} profit matrix")
     return matrix
@@ -212,19 +215,15 @@ def _read_profit_file(path: str, n: int) -> list[list[float]]:
 
 def _cmd_recourse(args, out) -> int:
     ss = _read_surplus_file(args.surplus_file)
-    profit = _read_profit_file(args.profit_file, len(ss.surplus))
-    plan = solve_transshipment_plan(ss, profit)
+    plan = solve_transshipment_plan(ss, _read_profit_file(args.profit_file, len(ss.surplus)))
     if args.format == "json":
-        print(json.dumps({"shipments": [list(r) for r in plan.shipments],
-                          "objective": plan.objective}), file=out)
+        _emit_rows(("shipments", "objective"),
+                   [([list(r) for r in plan.shipments], plan.objective)], "json", out)
         return 0
-    writer = csv.writer(out)
-    writer.writerow(["from", "to", "quantity"])
-    for i, row in enumerate(plan.shipments):
-        for j, quantity in enumerate(row):
-            if quantity != 0.0:
-                writer.writerow([i + 1, j + 1, _fmt(quantity)])
-    writer.writerow(["objective", _fmt(plan.objective)])
+    # The plan's shape: one CSV line per route used, then the objective.
+    routes = [(i + 1, j + 1, quantity) for i, row in enumerate(plan.shipments)
+              for j, quantity in enumerate(row) if quantity != 0.0]
+    _emit_rows(("from", "to", "quantity"), [*routes, ("objective", plan.objective)], "csv", out)
     return 0
 
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .analytic_solver import _solve_sizes
-from .game_model import MarketParams, _check_size
+from .game_model import MarketParams
 
 __all__ = ["CoreReport", "characteristic_values", "check_equal_allocation_core"]
 
@@ -39,9 +39,7 @@ class CoreReport:
 
 def characteristic_values(params: MarketParams, n: int) -> list[float]:
     """Optimal expected profits of coalitions of size m = 1..n."""
-    _check_size(n)
-    _, results = _solve_sizes(params, range(1, n + 1))
-    return [res.profit for res in results]
+    return [res.profit for res in _solve_sizes(params, 1, n)]
 
 
 def check_equal_allocation_core(params: MarketParams, n: int,
@@ -55,9 +53,7 @@ def check_equal_allocation_core(params: MarketParams, n: int,
     """
     if not tolerance >= 0:  # also rejects nan, which would fail every margin
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-    _check_size(n)
-    _, results = _solve_sizes(params, range(1, n + 1))
-    beta = [res.allocation for res in results]
+    beta = [res.allocation for res in _solve_sizes(params, 1, n)]
     # Margin over proper sub-coalition sizes; a single agent has nothing to block.
     margins = [beta[-1] - b for b in beta[:-1]]
     if margins:

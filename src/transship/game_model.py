@@ -221,13 +221,17 @@ def demand_feasibility_check(params: MarketParams) -> FeasibilityReport:
 
 
 def params_from_mapping(mapping: Mapping[str, float]) -> MarketParams:
-    """Build MarketParams from a mapping with keys r, c, nu, t, mu, sigma, rho."""
-    missing = [k for k in PARAM_KEYS if k not in mapping]
-    if missing:
-        raise ParameterError(f"missing parameter(s): {', '.join(missing)}")
+    """Build MarketParams from a mapping with keys r, c, nu, t, mu, sigma, rho.
+
+    Unknown keys are named before missing ones, so a misspelled key is
+    reported as itself rather than as the key it stands in for.
+    """
     unknown = [k for k in mapping if k not in PARAM_KEYS]
     if unknown:
         raise ParameterError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
+    missing = [k for k in PARAM_KEYS if k not in mapping]
+    if missing:
+        raise ParameterError(f"missing parameter(s): {', '.join(missing)}")
     return MarketParams(**{k: float(mapping[k]) for k in PARAM_KEYS})
 
 
@@ -236,12 +240,15 @@ def _read_config(path: Union[str, Path]) -> dict[str, float]:
 
     Blank lines and '#' comments are ignored. Values are parsed with float(),
     which is locale-independent and exact for decimal literals. A line
-    without '=', a bad number or a key set twice is a ParameterError naming
-    the file and line. Which keys are present is left to the caller.
+    without '=', a key that is not one of PARAM_KEYS, a bad number or a key
+    set twice is a ParameterError naming the file and line. Lines end at
+    '\n' only (read_text has turned '\r\n' and '\r' into it), so a form feed
+    or other Unicode line break stays inside its line. Which keys are present
+    is left to the caller.
     """
     values: dict[str, float] = {}
     first_set: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text().split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -249,6 +256,8 @@ def _read_config(path: Union[str, Path]) -> dict[str, float]:
             raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key not in PARAM_KEYS:
+            raise ParameterError(f"{path}:{lineno}: unknown parameter {key!r}")
         if key in first_set:
             raise ParameterError(f"{path}:{lineno}: {key} set again "
                                  f"(first set on line {first_set[key]})")
@@ -263,7 +272,8 @@ def _read_config(path: Union[str, Path]) -> dict[str, float]:
 def load_params(path: Union[str, Path]) -> MarketParams:
     """Read a config file that sets each of r, c, nu, t, mu, sigma, rho once.
 
-    The file's format and line-numbered errors are those of _read_config;
-    a missing or unknown key is refused as by params_from_mapping.
+    The file's format and line-numbered errors, an unknown key among them,
+    are those of _read_config; a missing key is refused as by
+    params_from_mapping.
     """
     return params_from_mapping(_read_config(path))

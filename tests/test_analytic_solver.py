@@ -584,6 +584,14 @@ class TestSizeType:
         assert self.ENTRY_POINTS[entry](np.int64(3)) == self.ENTRY_POINTS[entry](3)
 
 
+@pytest.mark.parametrize("ts", [None, [1.0, 2.0]], ids=["sizes", "transport-costs"])
+def test_solved_size_is_a_python_int(ts):
+    # The solve loop builds its range from numpy bounds, and a range yields ints.
+    results = list(analytic_solver._solve_sizes(UNDER_T2, np.int64(3), np.int64(3), ts))
+    assert [type(res.n) for res in results] == [int] * len(ts or [3])
+    assert type(solve_optimal_quantity(np.int64(3), UNDER_T2).n) is int
+
+
 class TestFloatRange:
     """A size past the float range, or a solution that overflows it, is a
     one-line ParameterError, never a traceback or an inf."""
@@ -679,7 +687,7 @@ class TestFloatRange:
     def test_sizes_stream_until_the_first_overflow(self):
         # allocation is about 4e307, so n = 5 is the first size whose profit overflows
         market = MarketParams(r=10, c=6, nu=2, t=2, mu=1e307, sigma=20, rho=0)
-        _, results = analytic_solver._solve_sizes(market, range(1, 7))
+        results = analytic_solver._solve_sizes(market, 1, 6)
         assert [next(results).n for _ in range(4)] == [1, 2, 3, 4]
         with pytest.raises(ParameterError, match="at n = 5 overflows"):
             next(results)

@@ -631,6 +631,12 @@ class TestConfigFile:
         assert (code, text) == (1, "")
         assert capsys.readouterr().err == f"error: {cfg}:8: c set again (first set on line 2)\n"
 
+    def test_misspelled_key_is_named_at_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("price=10\nc=6\nnu=2\nt=2\nmu=100\nsigma=20\nrho=0\n")
+        assert run_cli(["solve", "--config", str(cfg), "--n", "2"]) == (1, "")
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown parameter 'price'\n"
+
     def test_missing_param_reported(self, capsys):
         code, _ = run_cli(["solve", "--r", "10", "--c", "6", "--n", "1"])
         assert code != 0

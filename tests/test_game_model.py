@@ -330,6 +330,21 @@ class TestConfigLoading:
         with pytest.raises(ParameterError, match="expected key=value"):
             load_params(path)
 
+    def test_lines_end_at_newline_only(self, tmp_path):
+        # A form feed does not end line 1, so its value is a bad number for r,
+        # and "oops" is on line 7 of the seven lines.
+        path = tmp_path / "ff.cfg"
+        path.write_text("r=10\x0cc=6\nnu=2\nt=2\nmu=100\nsigma=20\nrho=0\noops\n")
+        with pytest.raises(ParameterError) as info:
+            load_params(path)
+        assert str(info.value) == f"{path}:1: bad number for r: '10\\x0cc=6'"
+
+    def test_mapping_names_a_misspelled_key(self):
+        with pytest.raises(ParameterError) as info:
+            params_from_mapping({"price": 10, "c": 6, "nu": 2, "t": 2, "mu": 100, "sigma": 20,
+                                 "rho": 0})
+        assert str(info.value) == "unknown parameter(s): price"
+
     def test_mapping_validation(self):
         with pytest.raises(ParameterError, match="missing"):
             params_from_mapping({"r": 10})
