@@ -9,8 +9,9 @@ float formatting so files re-parse bit-exactly.
 Every subcommand but `recourse` reads the market from one shared parser, and
 every one takes --format. Rows of results go out through one writer: one
 JSON object per row, or a CSV header and one line per row; `table` prints a
-single result as aligned name/value pairs, and `sweep` writes CSV for it.
-Both sweeps check their whole range first, then write each row as it is solved.
+single result as aligned name/value pairs, and `sweep` and `recourse` write
+CSV for it. Both sweeps check their whole range first, then write each row as
+it is solved. Both `recourse` input files are read by one CSV row rule.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def _cmd_recourse(args, out) -> int:
         _emit_rows(("shipments", "objective"),
                    [([list(r) for r in plan.shipments], plan.objective)], "json", out)
         return 0
-    # The plan's shape: one CSV line per route used, then the objective.
+    # table and csv both print the plan as CSV: a line per route used, then the objective.
     routes = [(i + 1, j + 1, quantity) for i, row in enumerate(plan.shipments)
               for j, quantity in enumerate(row) if quantity != 0.0]
     _emit_rows(("from", "to", "quantity"), [*routes, ("objective", plan.objective)], "csv", out)
