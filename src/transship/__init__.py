@@ -13,8 +13,9 @@ from .normal_math import *
 from .recourse import *
 
 # The Monte Carlo sampler, the estimators and the grid oracle live in
-# `simulation`, the one module that needs numpy. It is imported on first use
-# of any of these names (PEP 562), so the scalar solver starts without numpy.
+# `simulation`, imported on first use of any of these names (PEP 562). numpy
+# loads with its first pass that draws or reduces scenarios, not with the
+# module, so the solver and the grid oracle run without numpy.
 _SIMULATION_NAMES = frozenset({
     "DemandMatrix",
     "McEstimate",

@@ -256,17 +256,21 @@ def solve_optimal_quantity(n: int, params: MarketParams) -> SolveResult:
     return result
 
 
-def _profit_at(y, n: int, L: float, econ: DerivedEconomics,
-               mu: float, sigma: float, t: float, antiderivative):
-    # J_n(X) = n*(g*X - t*sigma*A(Y) - p*sigma*A(L Y)/L) with A the cdf antiderivative.
-    # The one copy of J_n: y is a float and A is cdf_antiderivative, or y is a
-    # float64 array and A the elementwise form of it. numpy applies these
-    # operations in this order to each element, so each is bit-identical to
-    # the float result. At L = 1, L*y and /L are exact, so A(y) serves twice.
+def _profit_at(y: float, n: int, L: float, econ: DerivedEconomics,
+               mu: float, sigma: float, t: float, antiderivative) -> float:
+    # J_n(X) = n*(g*X - t*sigma*A(Y) - p*sigma*A(L Y)/L) with A the cdf antiderivative:
+    # the one copy of J_n, scalar only. A is cdf_antiderivative, passed in so the
+    # grid's calls can be counted. At L = 1, L*y and /L are exact, so A(y) serves
+    # twice. Where L*y overflows, A(L y)/L = max(y, 0) + A(-L|y|)/L rounds to
+    # max(y, 0); that branch only replaces a ValueError.
     x = mu + sigma * y
     a = antiderivative(y)
-    pooled = a if L == 1.0 else antiderivative(L * y)
-    return n * (econ.g * x - t * sigma * a - econ.p * sigma * pooled / L)
+    ly = L * y
+    if math.isfinite(ly):
+        pooled = econ.p * sigma * (a if L == 1.0 else antiderivative(ly)) / L
+    else:
+        pooled = econ.p * sigma * max(y, 0.0)
+    return n * (econ.g * x - t * sigma * a - pooled)
 
 
 def _within_float_range(value: float, what: str) -> float:

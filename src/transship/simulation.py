@@ -4,6 +4,10 @@ Each closed form in the library has an independent check here: sampled
 equicorrelated normal demands feed estimators of the coalition profit and
 the expected transshipment amount, and a grid search over the profit curve
 double-checks the root-found optimal quantity.
+
+The grid search is scalar, and so is making a DemandMatrix. numpy is
+imported inside the functions that draw or reduce scenarios, so it loads
+with the first sampler pass, not with this module.
 """
 
 from __future__ import annotations
@@ -11,12 +15,11 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from .analytic_solver import _profit_at
 from .game_model import (
@@ -28,7 +31,10 @@ from .game_model import (
     pooling_factor,
     validate_params,
 )
-from .normal_math import _INV_SQRT_2PI, _SQRT_2
+from .normal_math import cdf_antiderivative
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -50,8 +56,9 @@ RNG_ALGORITHM = "numpy-philox4x64"
 # float64, at least one row): its scratch memory does not grow with count.
 _BLOCK_ELEMENTS = 1 << 15
 
-# Entries in the largest float64 array numpy can address.
-_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+# Entries in the largest float64 array numpy can address: its intp is the
+# platform's Py_ssize_t, whose maximum is sys.maxsize.
+_MAX_ENTRIES = sys.maxsize // 8
 
 
 def _block_rows(n: int) -> int:
@@ -72,6 +79,7 @@ def _row_sums(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     of fewer than 8 entries it sums left to right from 0.0, so here the
     columns are added in turn instead. Wider blocks go to numpy.
     """
+    import numpy as np
     n = block.shape[1]
     if n >= _PAIRWISE_UNROLL:
         return block.sum(axis=1, out=out)
@@ -168,6 +176,7 @@ class DemandMatrix:
         drawn as a single agent's (a = b = 1), which makes the stream that of
         n = 1 for the same mu, sigma, count and seed. Otherwise k = n.
         """
+        import numpy as np
         count, mu, k = self.count, self.mu, self._k
         # A single agent has no pairwise correlation, so rho drops out (a = b = 1).
         a = math.sqrt(1.0 - self.rho_target) if k > 1 else 1.0
@@ -202,6 +211,7 @@ class DemandMatrix:
     def _finite(self, lo: int, block: np.ndarray) -> np.ndarray:
         """`block`, whose first row is scenario `lo`; a non-finite entry raises
         a one-line ValueError naming its scenario."""
+        import numpy as np
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             row = lo + int(np.argmin(finite))
@@ -214,6 +224,7 @@ class DemandMatrix:
         """The (count, n) matrix, drawn on the first read, then kept read-only
         for the caller; no pass reads it. Entries that overflow raise ValueError.
         """
+        import numpy as np
         matrix = np.empty((self.count, self._k))
         for lo, block in self._draw():
             matrix[lo:lo + block.shape[0]] = self._finite(lo, block)
@@ -274,6 +285,7 @@ def _surplus_shortage(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.n
     multiply, correctly rounded. Overflow gives inf or nan silently, for the
     caller to reject.
     """
+    import numpy as np
     count, n, k = samples.count, samples.n, samples._k
     surplus = np.empty(count)
     shortage = np.empty(count)
@@ -293,6 +305,7 @@ def _add_up(excess: np.ndarray, n: int, out: np.ndarray) -> None:
     """`out` = the row sums of max(excess, 0) over n agents; `excess` holds
     n columns, or at rho = 1 the one column all n agents share, whose sum is
     n times it (+0.0 for a zero, as _row_sums starts from 0.0)."""
+    import numpy as np
     np.maximum(excess, 0.0, out=excess)
     _row_sums(excess, out)
     if excess.shape[1] < n:
@@ -308,6 +321,7 @@ def _totals(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
     callers at worst repeat a pass. A non-finite x, an n * x that overflows,
     or totals that are not finite raise ValueError.
     """
+    import numpy as np
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"quantity x must be finite, got {x!r}")
@@ -326,6 +340,7 @@ def _totals(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _summarize(values: np.ndarray, x: float) -> McEstimate:
+    import numpy as np
     count = values.shape[0]
     if count < 2:
         raise ValueError("at least 2 scenarios are needed for a standard error")
@@ -348,6 +363,7 @@ def estimate_profit(x: float, samples: DemandMatrix, params: MarketParams) -> Mc
     A non-finite x, or an x so large that a total or the estimate overflows,
     raises ValueError.
     """
+    import numpy as np
     econ = validate_params(params)
     surplus, shortage = _totals(x, samples)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -361,74 +377,50 @@ def estimate_transshipment(x: float, samples: DemandMatrix) -> McEstimate:
 
     A non-finite x, or an x so large that a total overflows, raises ValueError.
     """
+    import numpy as np
     surplus, shortage = _totals(x, samples)
     return _summarize(np.minimum(surplus, shortage), x)
-
-
-# Grid points per block of the profit kernel: its scratch memory does not
-# grow with grid_points.
-_GRID_BLOCK = 2048
-
-
-def _cdf_antiderivative_array(ys: np.ndarray) -> np.ndarray:
-    """normal_math.cdf_antiderivative applied to each element of a 1-d array.
-
-    Bit-identical to the scalar form: each element goes through the same libm
-    calls (math.erfc and math.exp; np.exp differs from math.exp in the last
-    bit on some inputs) and the same float operations in the same order.
-    """
-    if not np.isfinite(ys).all():
-        raise ValueError(f"y must be finite, got {float(ys[~np.isfinite(ys)][0])!r}")
-    m = ys.shape[0]
-    cdf = np.fromiter(map(math.erfc, (-ys / _SQRT_2).tolist()), float, m)
-    cdf *= 0.5
-    pdf = np.fromiter(map(math.exp, (-0.5 * ys * ys).tolist()), float, m)
-    pdf *= _INV_SQRT_2PI
-    value = ys * cdf
-    value += pdf
-    value[~(value > 0.0)] = 0.0
-    return value
-
-
-def _grid_blocks(half_width: float, points: int):
-    """np.linspace(-half_width, half_width, points) in blocks of _GRID_BLOCK points.
-
-    Bit-identical to numpy's own recipe: point k is k * step - half_width with
-    step = 2 * half_width / (points - 1), or (k / (points - 1)) * (2 * half_width)
-    when the step underflows to 0 (subnormal widths), and the last point is
-    +half_width exactly. Only one block is held at a time.
-    """
-    div = points - 1
-    delta = 2.0 * half_width
-    step = delta / div
-    for lo in range(0, points, _GRID_BLOCK):
-        ys = np.arange(lo, min(lo + _GRID_BLOCK, points), dtype=float)
-        if step == 0.0:
-            ys /= div
-            ys *= delta
-        else:
-            ys *= step
-        ys -= half_width
-        if lo + ys.shape[0] == points:
-            ys[-1] = half_width
-        yield ys
 
 
 def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
                         grid_points: int) -> tuple[float, float]:
     """Maximize the closed-form profit on a grid around the demand mean.
 
-    Evaluates J_n on grid_points equally spaced quantities in
-    [mu - w*sigma, mu + w*sigma] and returns (best x, best profit), taking
-    the first grid point where the profit is largest. Grid search is
-    method-independent of the root-finder, so agreement within one grid
-    spacing validates both the first-order condition and its solver.
+    Returns (best x, best profit) over grid_points equally spaced quantities
+    in [mu - w*sigma, mu + w*sigma], w = grid_half_width: the first grid point
+    where J_n is largest, exactly as a scan that evaluates J_n at each point of
+    np.linspace(-w, w, grid_points) in turn and keeps the first maximum. Grid
+    search is method-independent of the root-finder, so agreement within one
+    grid spacing validates both the first-order condition and its solver.
 
-    The grid is generated and evaluated in blocks of _GRID_BLOCK points by the
-    array form of J_n, whose results are bit-identical to evaluating each
-    point of np.linspace on its own; memory does not grow with grid_points.
+    The search takes O(sqrt(grid_points)) evaluations of J_n in floats, each
+    at a point formed from its index by numpy's linspace recipe, so nothing
+    grows with grid_points and numpy is not needed. With s = isqrt(points - 1),
+    a coarse pass evaluates every s-th point and the last. From the first
+    coarse maximum c a walk moves left, then right, one coarse interval at a
+    time, scanning each whole: it stops once the value at the near end of the
+    next interval, plus 2 * eps, is below the best so far. Each side's first
+    interval ends at c, so it is scanned unless the other side already found
+    a point better by 2 * eps; on a flat profile every point is scanned.
+
+    Why the result is exact: J_n is concave in y (g*x is linear, A is convex,
+    and t, p >= 0), and eps bounds the absolute error of one computed value,
+
+        eps = n * (1e-12 * (|g| (|mu| + sigma w) + (t + p) sigma (w + 1)) + 2^-1070).
+
+    On the grid |x| <= |mu| + sigma w, and 0 <= A(y), A(L y)/L <= max(y, 0) +
+    phi(0) <= w + 1. A's worst measured relative error is 1,297 * 2^-52
+    (2.9e-13, in the lower tail); forming x, the products and the sum add a
+    few roundings of 2^-53 to each term, and 2^-1070 covers roundings among
+    subnormals. So where the computed J(y_e) + 2 eps is below the computed
+    best at some y_b > y_e, the exact J(y_e) is below the exact J(y_b);
+    concavity keeps every exact value left of y_e at or below J(y_e), so every
+    computed value there is strictly below the best, and none is the first
+    maximum. The right side is the mirror image.
+
     A width whose double 2w overflows raises ValueError, and so does a nan or
-    +inf profit on the grid, from overflow at huge widths.
+    +inf profit, from overflow at huge widths, which grows toward the grid's
+    ends: point 0 is evaluated first and the last point in the coarse pass.
     """
     econ = validate_params(params)
     if (not isinstance(grid_points, numbers.Integral) or grid_points < 3
@@ -438,21 +430,52 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
         raise ValueError(f"grid_half_width must be finite and positive, and 2 * grid_half_width "
                          f"finite, got {grid_half_width!r}")
     L = pooling_factor(n, params.rho)
-    mu, sigma, t = params.mu, params.sigma, params.t
-    best_y = best_profit = -math.inf
-    for block in _grid_blocks(grid_half_width, grid_points):
-        # Overflow gives inf or nan silently, as in floats; np.argmax returns
-        # the first nan, or else +inf, and either is rejected below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _profit_at(block, n, L, econ, mu, sigma, t, _cdf_antiderivative_array)
-        k = int(np.argmax(values))
-        value = float(values[k])
-        if not math.isfinite(value):
-            raise ValueError(f"expected profit is {value!r} at x = {mu + sigma * float(block[k])!r}")
-        if value > best_profit:
-            best_profit = value
-            best_y = float(block[k])
-    return mu + sigma * best_y, best_profit
+    mu, sigma, t, w = params.mu, params.sigma, params.t, grid_half_width
+    last = int(grid_points) - 1
+    delta = 2.0 * w
+    step = delta / last
+
+    def point(k: int) -> float:
+        # numpy's recipe: k * step - w, or (k / last) * 2w where the step
+        # underflows to 0 (subnormal widths), and +w exactly at the end.
+        if k == last:
+            return w
+        return (k * step if step else k / last * delta) - w
+
+    def profit(k: int) -> float:
+        y = point(k)
+        value = _profit_at(y, n, L, econ, mu, sigma, t, cdf_antiderivative)
+        if math.isnan(value) or value == math.inf:
+            raise ValueError(f"expected profit is {value!r} at x = {mu + sigma * y!r}")
+        return value
+
+    eps = n * (1e-12 * (abs(econ.g) * (abs(mu) + sigma * w) + (t + econ.p) * sigma * (w + 1.0))
+               + 2.0**-1070)
+    s = math.isqrt(last)
+    best_k, best = 0, profit(0)
+    for k in range(s, last + s, s):  # the coarse points: multiples of s, then last
+        value = profit(min(k, last))
+        if value > best:
+            best_k, best = min(k, last), value
+    # Walk out from the coarse maximum, left then right; lo and hi stay coarse points.
+    lo = hi = best_k
+    lo_value = hi_value = best
+    while lo > 0 and not lo_value + 2.0 * eps < best:
+        for k in range(lo - 1, (lo - 1) // s * s - 1, -1):
+            value = profit(k)
+            if value >= best:  # left of every point scanned so far
+                best_k, best = k, value
+        lo, lo_value = k, value
+    while hi < last and not hi_value + 2.0 * eps < best:
+        for k in range(hi + 1, min(hi + s, last) + 1):
+            value = profit(k)
+            if value > best:
+                best_k, best = k, value
+        hi, hi_value = k, value
+    y = point(best_k)
+    if best == -math.inf:
+        raise ValueError(f"expected profit is {best!r} at x = {mu + sigma * y!r}")
+    return mu + sigma * y, best
 
 
 def dump_scenarios(samples: DemandMatrix, path: Union[str, Path]) -> None:

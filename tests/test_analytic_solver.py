@@ -652,6 +652,29 @@ class TestFloatRange:
             call(MarketParams(r=1, c=0.5, nu=0, t=0.2, mu=0, sigma=1e308, rho=0))
         assert str(info.value) == shown
 
+    @pytest.mark.parametrize("x,profit", [(-2e306, -2.4e307), (1e306, -1.2e307)])
+    def test_profit_where_the_pooled_quantity_overflows(self, x, profit):
+        # L_3 is about 3873, so L * y overflows although J_3 fits: there
+        # A(L y)/L is max(y, 0), where cdf_antiderivative(L * y) would raise
+        mp = pytest.importorskip("mpmath")
+        market = MarketParams(r=10, c=6, nu=2, t=1, mu=100, sigma=20, rho=-0.4999999)
+        econ, L = validate_params(market), pooling_factor(3, market.rho)
+        assert not math.isfinite(L * ((x - market.mu) / market.sigma))
+        with mp.workdps(50):
+
+            def antiderivative(z):
+                # A(z) = max(z, 0) + A(-|z|) with A(-|z|) = phi(z)/z^2 (1 + O(1/z^2)):
+                # at |z| >= 1e304 that form is exact to 600 digits, and mpmath's
+                # erfc cannot take such z
+                return max(z, 0) + mp.npdf(z) / z**2
+
+            y = (mp.mpf(x) - market.mu) / market.sigma
+            exact = 3 * (econ.g * mp.mpf(x) - market.t * market.sigma * antiderivative(y)
+                         - econ.p * market.sigma * antiderivative(L * y) / L)
+            got = expected_profit(x, 3, market)
+            assert abs(got - exact) <= 1e-15 * abs(exact)
+        assert got == pytest.approx(profit, rel=1e-15)
+
     def test_transshipment_that_fits_where_n_sigma_does_not(self):
         # 4 * 1e308 overflows, but the amount 4 sigma phi(0) (1 - 1/L_4) is
         # 7.98e307, and the solve at 4 agents, whose profit fits too, succeeds

@@ -1,4 +1,4 @@
-"""numpy loads only with `transship.simulation`, on first use of an array feature.
+"""numpy loads only with the first pass that draws or reduces scenarios.
 
 The test modules import numpy themselves, so what a user's process loads is
 checked in a fresh interpreter.
@@ -100,7 +100,31 @@ def test_scalar_commands_leave_numpy_unloaded(fresh_interpreter):
     assert fresh_interpreter["steps"] == {
         "import transship": False, "import transship.cli": False,
         **{name: False for name in commands},
-        "dir(transship)": False, "from transship import *": True}
+        "dir(transship)": False, "from transship import *": False}
+
+
+SIMULATION_STEPS = """
+import json, sys
+from transship.game_model import MarketParams
+steps = {}
+import transship.simulation as simulation
+steps["import transship.simulation"] = "numpy" in sys.modules
+market = MarketParams(r=10, c=6, nu=2, t=2, mu=100, sigma=20, rho=0.3)
+simulation.brute_force_optimal(market, 50, 6.0, 20001)
+steps["brute_force_optimal"] = "numpy" in sys.modules
+samples = simulation.sample_demands(3, 100.0, 20.0, 0.3, 50, 7)
+steps["sample_demands"] = "numpy" in sys.modules
+simulation.estimate_transshipment(100.0, samples)
+steps["estimate_transshipment"] = "numpy" in sys.modules
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_loads_with_the_first_estimate():
+    # the grid search and a DemandMatrix are scalar; the first pass draws
+    steps = json.loads(run_fresh(SIMULATION_STEPS).stdout)
+    assert steps == {"import transship.simulation": False, "brute_force_optimal": False,
+                     "sample_demands": False, "estimate_transshipment": True}
 
 
 def test_simulation_names_resolve_on_first_use(fresh_interpreter):

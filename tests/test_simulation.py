@@ -12,7 +12,6 @@ import pytest
 
 from support import random_market_params
 from transship.analytic_solver import (
-    _profit_at,
     expected_profit,
     expected_transshipment,
     solve_optimal_quantity,
@@ -85,8 +84,8 @@ def reference_estimate(values):
 
 
 def reference_profit(y, n, L, econ, mu, sigma, t):
-    """J_n at standardized quantity y, in scalar floats: the oracle that the
-    array profit kernel must match bit for bit."""
+    """J_n at standardized quantity y, in scalar floats, as the full scan
+    evaluates it."""
     x = mu + sigma * y
     return n * (econ.g * x
                 - t * sigma * cdf_antiderivative(y)
@@ -94,7 +93,8 @@ def reference_profit(y, n, L, econ, mu, sigma, t):
 
 
 def reference_brute_force(params, n, grid_half_width, grid_points):
-    """The grid search one point at a time."""
+    """The full scan: every point of np.linspace in turn, keeping the first
+    maximum. brute_force_optimal must return its result bit for bit."""
     econ = validate_params(params)
     L = pooling_factor(n, params.rho)
     mu, sigma, t = params.mu, params.sigma, params.t
@@ -220,6 +220,11 @@ class ArgumentChecks:
     def test_domain_errors(self, kwargs, fragment):
         with pytest.raises(ParameterError, match=fragment):
             self.build(**kwargs)
+
+
+def test_entry_limit_is_numpys_array_limit():
+    # stated without numpy, so that making an instance does not load it
+    assert simulation._MAX_ENTRIES == np.iinfo(np.intp).max // 8
 
 
 class TestSampleDemands(ArgumentChecks):
@@ -1117,23 +1122,6 @@ class TestProfitKernel:
         ys = np.linspace(-40.0, 40.0, 20001).tolist()
         assert any(y * std_cdf(y) + std_pdf(y) <= 0.0 for y in ys)
 
-    def test_antiderivative_array_matches_scalar(self):
-        # every element, not only the argmax: a last-bit slip in phi or a
-        # missing clip hides inside the profit at the grid's best point
-        ys = np.linspace(-40.0, 40.0, 20001)
-        assert simulation._cdf_antiderivative_array(ys).tolist() == \
-            [cdf_antiderivative(y) for y in ys.tolist()]
-
-    @pytest.mark.parametrize("n,rho", [(1, 0.0), (200, 0.0), (200, 1.0), (200, -0.9 / 199)])
-    def test_profit_curve_matches_scalar_formula(self, n, rho):
-        params = MarketParams(r=10, c=7, nu=2, t=3, mu=100, sigma=20, rho=rho)
-        econ, L = validate_params(params), pooling_factor(n, params.rho)
-        ys = np.linspace(-40.0, 40.0, 2049)
-        curve = _profit_at(ys, n, L, econ, params.mu, params.sigma, params.t,
-                           simulation._cdf_antiderivative_array)
-        assert curve.tolist() == [reference_profit(y, n, L, econ, params.mu, params.sigma,
-                                                   params.t) for y in ys.tolist()]
-
     def test_expected_profit_matches_scalar_formula(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -1145,29 +1133,6 @@ class TestProfitKernel:
                 assert expected_profit(x, n, params) == reference_profit(
                     (x - params.mu) / params.sigma, n, L, econ,
                     params.mu, params.sigma, params.t)
-
-    @pytest.mark.parametrize("block", [1, 2, 2048, 20001])
-    def test_block_size_does_not_change_result(self, monkeypatch, block):
-        params = MarketParams(r=10, c=7, nu=2, t=3, mu=100, sigma=20, rho=0.1)
-        expected = reference_brute_force(params, 5, 6.0, 4001)
-        monkeypatch.setattr(simulation, "_GRID_BLOCK", block)
-        assert brute_force_optimal(params, 5, 6.0, 4001) == expected
-
-    @pytest.mark.parametrize("block", [1, 2, 2048])
-    def test_grid_blocks_match_linspace(self, monkeypatch, block):
-        monkeypatch.setattr(simulation, "_GRID_BLOCK", block)
-        # 5e-324 and 1e-320 are subnormal; at 5e-324 with 5 or more points the
-        # step underflows to 0 and numpy scales by the width last
-        for width in (6.0, 40.0, 1.0 / 3.0, 1e-3, 1e307, 5e-324, 1e-320):
-            for points in (3, 5, 2047, 2049, 4097):
-                if block < 3 and points > 5:
-                    continue
-                blocks = list(simulation._grid_blocks(width, points))
-                assert all(len(ys) <= block for ys in blocks)
-                grid = np.concatenate(blocks)
-                expected = np.linspace(-width, width, points)
-                assert grid.tolist() == expected.tolist()
-                assert grid.tobytes() == expected.tobytes()
 
     def test_scratch_memory_bounded_by_block(self):
         # Neither the grid nor the kernel's scratch may grow with the number
@@ -1182,6 +1147,97 @@ class TestProfitKernel:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+
+
+def count_antiderivative_calls(monkeypatch):
+    """Wrap the grid's cdf_antiderivative and return the list of its arguments.
+    One J_n evaluation calls it at y and, where L > 1, at L * y."""
+    calls = []
+
+    def counted(y):
+        calls.append(y)
+        return cdf_antiderivative(y)
+
+    monkeypatch.setattr(simulation, "cdf_antiderivative", counted)
+    return calls
+
+
+class TestGridSearch:
+    """The search returns the full scan's first maximum, bit for bit, in
+    O(sqrt(points)) evaluations where the profile is not flat."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_full_scan_on_random_markets(self, seed):
+        rng = np.random.default_rng(2500 + seed)
+        for k in range(8):
+            n = int(rng.integers(1, 201))
+            rho = [0.0, rng.uniform(0.01, 0.9), -rng.uniform(0.0, 0.99) / max(1, n - 1),
+                   1.0][k % 4]
+            # a tail and its mirror: R = 1 - fractile puts c - nu at 8 * fractile
+            fractile = 10.0 ** -rng.uniform(1.0, 7.0)
+            markets = [random_market_params(rng, rho=rho), deep_tail_market(fractile, rho),
+                       deep_tail_market(1.0 - fractile, rho),
+                       dataclasses.replace(random_market_params(rng, rho=rho), sigma=1e-12)]
+            for params in markets:
+                for width, points in ((6.0, 2049), (40.0, 4097), (6.0, 101), (6.0, 3)):
+                    assert brute_force_optimal(params, n, width, points) == \
+                        reference_brute_force(params, n, width, points)
+
+    def test_equals_the_full_scan_near_the_mean_and_in_the_mirrored_tail(self):
+        # R = 1 - 1.25e-6 puts c - nu at 1e-5, R = 1.25e-6 is its mirror, and the
+        # mean game peaks at y = 0, between two coarse points
+        for fractile in (1.0 - 1.25e-6, 1.25e-6, 0.5):
+            params = deep_tail_market(fractile, 0.3)
+            for n in (1, 50):
+                assert brute_force_optimal(params, n, 6.0, 20001) == \
+                    reference_brute_force(params, n, 6.0, 20001)
+
+    @pytest.mark.parametrize("width", [5e-324, 1e-320, 1.0 / 3.0, 1e-3, 6.0, 40.0, 1e307])
+    def test_equals_the_full_scan_at_every_width(self, width):
+        # 5e-324 and 1e-320 are subnormal; at 5e-324 with 5 or more points the
+        # step underflows to 0 and numpy scales by the width last. A small
+        # sigma keeps x finite at w = 1e307.
+        params = MarketParams(r=10, c=7, nu=2, t=3, mu=100, sigma=1e-3, rho=0.1)
+        for points in (3, 5, 2047, 2049, 4097):
+            assert brute_force_optimal(params, 5, width, points) == \
+                reference_brute_force(params, 5, width, points)
+
+    def test_evaluations_grow_as_the_square_root_of_the_points(self, monkeypatch):
+        calls = count_antiderivative_calls(monkeypatch)
+        rng = np.random.default_rng(2510)
+        for _ in range(8):
+            params = random_market_params(rng, rho_range=(-0.004, 0.9))
+            n = int(rng.integers(2, 201))  # L > 1: two calls per evaluation
+            for points in (101, 2049, 20001):
+                calls.clear()
+                brute_force_optimal(params, n, 6.0, points)
+                assert len(calls) / 2 <= 4 * math.sqrt(points)
+
+    def test_a_flat_profile_is_scanned_whole(self, monkeypatch):
+        # at sigma = 1e-12 the profile is flat to rounding, so no interval is skipped
+        calls = count_antiderivative_calls(monkeypatch)
+        params = MarketParams(r=10, c=7, nu=2, t=3, mu=100, sigma=1e-12, rho=0.1)
+        brute_force_optimal(params, 5, 6.0, 2049)
+        assert set(np.linspace(-6.0, 6.0, 2049).tolist()) <= set(calls)
+
+    @pytest.mark.parametrize("sigma", [1e-10, 3e-10, 1e-9])
+    def test_a_nearly_flat_profile_walks_past_the_first_intervals(self, monkeypatch, sigma):
+        # eps, led by g * mu, is near the profile's own variation, so the walk
+        # scans more than the coarse pass and the two intervals around its
+        # maximum, and fewer than every point
+        params = MarketParams(r=10, c=7, nu=2, t=3, mu=100, sigma=sigma, rho=0.1)
+        expected = reference_brute_force(params, 5, 6.0, 2049)
+        calls = count_antiderivative_calls(monkeypatch)
+        assert brute_force_optimal(params, 5, 6.0, 2049) == expected
+        coarse, s = 47, math.isqrt(2048)
+        assert coarse + 2 * s < len(calls) / 2 < 2049
+
+    def test_pooled_quantity_that_overflows_at_the_grid_ends(self):
+        # L_3 is about 3873, so L * y overflows at the outer points; the peak
+        # is the middle point, y = 0
+        params = MarketParams(r=10, c=6, nu=2, t=1, mu=100, sigma=20, rho=-0.4999999)
+        assert brute_force_optimal(params, 3, 1e305, 101) == \
+            (100.0, expected_profit(100.0, 3, params))
 
 
 class TestScenarioDump:
