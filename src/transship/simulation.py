@@ -454,9 +454,10 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
     s = math.isqrt(last)
     best_k, best = 0, profit(0)
     for k in range(s, last + s, s):  # the coarse points: multiples of s, then last
-        value = profit(min(k, last))
+        k = min(k, last)
+        value = profit(k)
         if value > best:
-            best_k, best = min(k, last), value
+            best_k, best = k, value
     # Walk out from the coarse maximum, left then right; lo and hi stay coarse points.
     lo = hi = best_k
     lo_value = hi_value = best
