@@ -704,6 +704,11 @@ GOLDEN_FILES = {
     "surplus.csv": "agent,H,E\n1,1.5,0\n2,1,0\n3,0,1\n4,0,2\n",
     "profit.csv": "0,0,10,9\n0,0,8,1\n0,0,0,0\n0,0,0,0\n",
     "bad_header.csv": "a,b,c\n1,1,0\n",
+    # Identical agents: one profit on every route, an idle agent, and amounts
+    # whose exact sums do not round to each other (0.1 + 0.2 > 0.3).
+    "identical_surplus.csv": "agent,H,E\n1,0.1,0\n2,0,0.3\n3,0.2,0\n4,0,0.15\n"
+                             "5,0.3,0\n6,0,0.05\n7,0,0\n",
+    "identical_profit.csv": "3.7,3.7,3.7,3.7,3.7,3.7,3.7\n" * 7,
 }
 RECOURSE = ["recourse", "--surplus-file", "surplus.csv", "--profit-file", "profit.csv"]
 GOLDEN_COMMANDS = {
@@ -718,6 +723,8 @@ GOLDEN_COMMANDS = {
     "simulate-rho1": ["simulate", *MARKET_RHO1, "--n", "128", "--count", "200", "--seed", "7"],
     "core-check": ["core-check", *MARKET_RHO0, "--n", "6"],
     "recourse": RECOURSE,
+    "recourse-identical": ["recourse", "--surplus-file", "identical_surplus.csv",
+                           "--profit-file", "identical_profit.csv"],
 }
 GOLDEN_CASES = {
     **{f"{name}-{fmt}": [*argv, "--format", fmt]
