@@ -8,6 +8,14 @@ p * min(sum(H), sum(E)). A path is the list of agents it visits, surplus and
 shortage agents in turn, and the solver sums the objective as it augments:
 each path adds its exact profit times the units it carries.
 
+Identical agents are visible in the input: the profit is one value v on
+every route from a surplus agent to a shortage agent. There the solver
+skips the path search and builds the northwest-corner plan of the
+transportation problem (Dantzig, 1963), the first surplus agent shipping to
+the first shortage agent until one side is used up. That is the plan the
+path search would build, step for step (see `solve_transshipment_plan`),
+so both give the same bits; every other matrix takes the path search.
+
 All internal arithmetic uses `fractions.Fraction`. Float inputs are dyadic
 rationals, so sums, minima, and products stay exact and the results round to
 float exactly once at the end; the symmetric shortcut and the general solver
@@ -129,10 +137,13 @@ class TransshipmentPlan:
     to the nearest float, and objective is the exact profit rounded once. A
     row total sum_j W[i][j] (or column total) can therefore exceed H_i (or
     E_j) in exact arithmetic, by up to n/2 ulp of that bound.
+    augmentations counts the paths the solver shipped along, one per step
+    of the northwest-corner plan for identical agents.
     """
 
     shipments: tuple[tuple[float, ...], ...]
     objective: float
+    augmentations: int
 
 
 def _rounded(objective: Fraction) -> float:
@@ -144,22 +155,93 @@ def _rounded(objective: Fraction) -> float:
                          f"(> {sys.float_info.max!r})") from None
 
 
-def symmetric_recourse_value(ss: SurplusShortage, p: float) -> float:
-    """Recourse profit of identical agents, p * min(sum(H), sum(E)), finite p > 0."""
-    if not 0.0 < p < math.inf:
-        raise ValueError(f"marginal transshipment profit p must be positive and finite, got {p}")
+def _pooled_recourse(ss: SurplusShortage, p: float) -> float:
+    """p * min(sum(H), sum(E)) in exact arithmetic, rounded once."""
     total_h = sum(Fraction(h) for h in ss.surplus)
     total_e = sum(Fraction(e) for e in ss.shortage)
     return _rounded(Fraction(p) * min(total_h, total_e))
 
 
+def symmetric_recourse_value(ss: SurplusShortage, p: float) -> float:
+    """Recourse profit of identical agents, p * min(sum(H), sum(E)), finite p > 0."""
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"marginal transshipment profit p must be positive and finite, got {p}")
+    return _pooled_recourse(ss, p)
+
+
 def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[float]]) -> TransshipmentPlan:
     """Maximize sum(p_ij * W_ij) s.t. row sums <= H, column sums <= E, W >= 0.
 
-    Successive most-profitable augmenting paths on the bipartite residual
-    graph; augmentation stops as soon as the best path profit is no longer
-    strictly positive, so routes with p_ij <= 0 never carry flow. Ties
-    between equal-profit paths resolve deterministically by index order.
+    Only routes from a surplus row S (H_i > 0) to a shortage column T
+    (E_j > 0) can carry flow. When the profit is one value v on all of
+    S x T, the plan is the northwest-corner plan; otherwise successive
+    most-profitable augmenting paths solve it (`_augmenting_path_plan`).
+    Both give the same plan, bit for bit, on a constant block:
+    - Every alternating path on the block has gain v, so with v <= 0 no
+      path is strictly profitable and the plan is empty.
+    - Bellman-Ford visits arcs in (i, j) order, so the first row with
+      spare surplus sets dist_e[j] = -v for every column; later rows tie
+      and are never strictly less.
+    - A back arc brings a used-up row to distance -v + v = 0, the origins'
+      own distance, so it changes no predecessor.
+    - The path ends at the first column with spare shortage.
+    So each round ships min(rem_h, rem_e) on one arc, (first spare row,
+    first spare column): one northwest step, at most |S| + |T| - 1 of
+    them. The objective is v * min(sum(H), sum(E)) either way.
+    """
+    n = len(ss.surplus)
+    if len(profit) != n or any(len(row) != n for row in profit):
+        raise ValueError(f"profit matrix must be {n} x {n}")
+    for row in profit:
+        for value in row:
+            if not math.isfinite(value):
+                raise ValueError("profit matrix entries must be finite")
+
+    rows = [i for i in range(n) if ss.surplus[i] > 0.0]
+    cols = [j for j in range(n) if ss.shortage[j] > 0.0]
+    # An empty block is constant too, and ships nothing.
+    v = profit[rows[0]][cols[0]] if rows and cols else 0.0
+    if all(profit[i][j] == v for i in rows for j in cols):
+        return _northwest_plan(ss, rows, cols, v)
+    return _augmenting_path_plan(ss, profit)
+
+
+def _northwest_plan(ss, rows, cols, v):
+    """The plan on a profit block constant at v over rows x cols.
+
+    Each step ships min(rem_h, rem_e) exactly from the first row with
+    spare surplus to the first column with spare shortage, and moves past
+    whichever side it used up, or both on a tie.
+    """
+    n = len(ss.surplus)
+    shipments = [[0.0] * n for _ in range(n)]
+    if v <= 0.0:
+        return TransshipmentPlan(shipments=tuple(map(tuple, shipments)), objective=0.0,
+                                 augmentations=0)
+    rem_h = [Fraction(ss.surplus[i]) for i in rows]
+    rem_e = [Fraction(ss.shortage[j]) for j in cols]
+    a = b = steps = 0
+    while a < len(rows) and b < len(cols):
+        w = min(rem_h[a], rem_e[b])
+        shipments[rows[a]][cols[b]] = float(w)
+        steps += 1
+        rem_h[a] -= w
+        rem_e[b] -= w
+        if not rem_h[a]:
+            a += 1
+        if not rem_e[b]:
+            b += 1
+    return TransshipmentPlan(shipments=tuple(map(tuple, shipments)),
+                             objective=_pooled_recourse(ss, v), augmentations=steps)
+
+
+def _augmenting_path_plan(ss, profit):
+    """The plan by successive most-profitable augmenting paths, any matrix.
+
+    Augmentation on the bipartite residual graph stops as soon as the best
+    path profit is no longer strictly positive, so routes with p_ij <= 0
+    never carry flow. Ties between equal-profit paths resolve
+    deterministically by index order.
 
     Each path [i0, j0, ..., ik, jk] ships along (i0, j0), ..., (ik, jk) and
     takes flow back along (i1, j0), ..., (ik, j(k-1)). Its bottleneck is
@@ -170,13 +252,6 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
     once; past the float range it raises ValueError.
     """
     n = len(ss.surplus)
-    if len(profit) != n or any(len(row) != n for row in profit):
-        raise ValueError(f"profit matrix must be {n} x {n}")
-    for row in profit:
-        for value in row:
-            if not math.isfinite(value):
-                raise ValueError("profit matrix entries must be finite")
-
     rem_h = [Fraction(h) for h in ss.surplus]
     rem_e = [Fraction(e) for e in ss.shortage]
     p = [[Fraction(v) for v in row] for row in profit]
@@ -188,7 +263,7 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
 
     objective = Fraction(0)
     max_rounds = 4 * (len(arcs) + 2 * n) + 16
-    for _ in range(max_rounds):
+    for augmentations in range(max_rounds):
         found = _best_augmenting_path(n, arcs, p, flow, rem_h, rem_e)
         if found is None:
             break
@@ -206,7 +281,8 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
         raise RuntimeError("augmenting-path loop failed to terminate")
 
     shipments = tuple(tuple(float(w) for w in row) for row in flow)
-    return TransshipmentPlan(shipments=shipments, objective=_rounded(objective))
+    return TransshipmentPlan(shipments=shipments, objective=_rounded(objective),
+                             augmentations=augmentations)
 
 
 def _best_augmenting_path(n, arcs, p, flow, rem_h, rem_e):

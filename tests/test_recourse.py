@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from support import enumerate_best_plan, lp_best_plan, random_surplus_shortage
+from transship import recourse
 from transship.recourse import (
     GeneralAgentParams,
     SurplusShortage,
@@ -308,3 +309,126 @@ class TestPlanDigests:
         plans = [solve_transshipment_plan(*make(rng, n)) for n in sizes]
         reprs = "\n".join(repr((plan.shipments, plan.objective)) for plan in plans)
         assert hashlib.sha256(reprs.encode()).hexdigest() == digest
+
+
+def block(ss):
+    """The surplus rows S and shortage columns T, by the solver's arc rule."""
+    return ([i for i, h in enumerate(ss.surplus) if h > 0.0],
+            [j for j, e in enumerate(ss.shortage) if e > 0.0])
+
+
+def constant_on_block(ss, profit, v):
+    """profit with every entry on S x T set to v and the rest left as it is."""
+    rows, cols = block(ss)
+    return [[v if i in rows and j in cols else value for j, value in enumerate(row)]
+            for i, row in enumerate(profit)]
+
+
+@pytest.fixture
+def path_search(monkeypatch):
+    """The augmenting-path loop, barred from the public solver for the test."""
+    loop = recourse._augmenting_path_plan
+
+    def refuse(ss, profit):
+        raise AssertionError("the path search ran on a constant block")
+
+    monkeypatch.setattr(recourse, "_augmenting_path_plan", refuse)
+    return loop
+
+
+class TestNorthwestMatchesPathSearch:
+    # On a profit block constant on S x T the solver builds the northwest-corner
+    # plan; the augmenting-path loop, called directly, is its oracle for every
+    # shipment, the objective and the augmentation count.
+    @staticmethod
+    def check(path_search, ss, profit):
+        plan = solve_transshipment_plan(ss, profit)
+        expected = path_search(ss, profit)
+        assert plan == expected
+        assert repr(plan) == repr(expected)
+        return plan
+
+    @pytest.mark.parametrize("seed", [2002, 2702, 2703])
+    def test_uniform_inputs(self, path_search, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 17):
+            self.check(path_search, *uniform_plan_inputs(rng, n))
+
+    @pytest.mark.parametrize("seed", [2003, 2704])
+    def test_tie_heavy_inputs_forced_constant(self, path_search, seed):
+        rng = np.random.default_rng(seed)
+        for n in [2, 3, 5, 8, 11, 14] * 10:
+            ss, profit = tie_heavy_plan_inputs(rng, n)
+            self.check(path_search, ss, [[profit[0][0]] * n for _ in range(n)])
+
+    @pytest.mark.parametrize("v", [-1.0, 0.0, -0.0, 2.5])
+    def test_constant_on_the_block_only(self, path_search, v):
+        rng = np.random.default_rng(2705)
+        for n in range(1, 13):
+            for make in (general_plan_inputs, tie_heavy_plan_inputs):
+                ss, profit = make(rng, n)
+                plan = self.check(path_search, ss, constant_on_block(ss, profit, v))
+                if v <= 0.0:
+                    assert plan.augmentations == 0 and plan.objective == 0.0
+
+    def test_diagonal_differs(self, path_search):
+        # Off the block, the diagonal holds other values; they never ship.
+        ss = SurplusShortage((2.0, 0.0, 1.0, 0.0), (0.0, 1.5, 0.0, 2.0))
+        profit = [[9.0 if i == j else 3.0 for j in range(4)] for i in range(4)]
+        plan = self.check(path_search, ss, profit)
+        assert plan.objective == 9.0
+        assert plan.augmentations == 3
+
+    def test_one_agent(self, path_search):
+        for ss in (SurplusShortage((2.0,), (0.0,)), SurplusShortage((0.0,), (2.0,)),
+                   SurplusShortage((0.0,), (0.0,))):
+            plan = self.check(path_search, ss, [[4.0]])
+            assert plan.shipments == ((0.0,),) and plan.augmentations == 0
+
+    def test_empty_surplus_or_shortage(self, path_search):
+        for ss in (SurplusShortage((0.0, 0.0, 0.0), (1.0, 0.0, 2.0)),
+                   SurplusShortage((1.0, 0.0, 2.0), (0.0, 0.0, 0.0))):
+            # With S or T empty the block is empty, whatever the matrix holds.
+            plan = self.check(path_search, ss, [[1.0, 2.0, 3.0]] * 3)
+            assert plan.objective == 0.0 and plan.augmentations == 0
+
+    def test_objective_past_the_float_range_raises_one_line_on_both_paths(self, path_search):
+        ss = SurplusShortage((5.0, 0.0), (0.0, 5.0))
+        profit = [[1e308, 1e308], [1e308, 1e308]]
+        for solve in (solve_transshipment_plan, path_search):
+            with pytest.raises(ValueError) as info:
+                solve(ss, profit)
+            assert str(info.value) == OVERFLOW
+
+
+class TestIdenticalAgentsAtScale:
+    def test_thousand_agents_take_no_path_search(self):
+        # The path search would take minutes here; the step count, not a
+        # timing, shows that none ran.
+        rng = np.random.default_rng(2706)
+        n, p = 1000, 3.7
+        ss = SurplusShortage(*random_surplus_shortage(rng, n, max_units=50.0))
+        plan = solve_transshipment_plan(ss, [[p] * n for _ in range(n)])
+        rows, cols = block(ss)
+        assert plan.augmentations <= len(rows) + len(cols) - 1
+        assert plan.objective == symmetric_recourse_value(ss, p)
+        for i in range(n):
+            row_total = sum(Fraction(w) for w in plan.shipments[i] if w)
+            col_total = sum(Fraction(plan.shipments[k][i]) for k in rows
+                            if plan.shipments[k][i])
+            assert row_total - Fraction(ss.surplus[i]) <= Fraction(n * math.ulp(ss.surplus[i])) / 2
+            assert col_total - Fraction(ss.shortage[i]) <= Fraction(n * math.ulp(ss.shortage[i])) / 2
+
+    def test_general_matrix_takes_the_path_search(self, monkeypatch):
+        calls = []
+        loop = recourse._augmenting_path_plan
+
+        def counted(ss, profit):
+            calls.append(ss)
+            return loop(ss, profit)
+
+        monkeypatch.setattr(recourse, "_augmenting_path_plan", counted)
+        ss, profit = general_plan_inputs(np.random.default_rng(2707), 6)
+        plan = solve_transshipment_plan(ss, profit)
+        assert calls == [ss]
+        assert plan.augmentations >= 1
