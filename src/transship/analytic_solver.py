@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
 
 from .game_model import (
     DerivedEconomics,
@@ -220,7 +220,7 @@ def _build_result(n: int, q: float, econ: DerivedEconomics, params: MarketParams
 
 
 def _solve_sizes(params: MarketParams, first: int, last: int,
-                 ts: Optional[Sequence[float]] = None) -> Iterator[SolveResult]:
+                 ts: Sequence[float] | None = None) -> Iterator[SolveResult]:
     """Validate the market once, then solve each size n = first..last as it is
     drawn: the loop behind every SolveResult. Given monotone transport costs
     ts, it solves the size first (= last) at each t in ts instead of at params.t.
@@ -257,17 +257,16 @@ def solve_optimal_quantity(n: int, params: MarketParams) -> SolveResult:
 
 
 def _profit_at(y: float, n: int, L: float, econ: DerivedEconomics,
-               mu: float, sigma: float, t: float, antiderivative) -> float:
+               mu: float, sigma: float, t: float) -> float:
     # J_n(X) = n*(g*X - t*sigma*A(Y) - p*sigma*A(L Y)/L) with A the cdf antiderivative:
-    # the one copy of J_n, scalar only. A is cdf_antiderivative, passed in so the
-    # grid's calls can be counted. At L = 1, L*y and /L are exact, so A(y) serves
-    # twice. Where L*y overflows, A(L y)/L = max(y, 0) + A(-L|y|)/L rounds to
+    # the one copy of J_n, scalar only. At L = 1, L*y and /L are exact, so A(y)
+    # serves twice. Where L*y overflows, A(L y)/L = max(y, 0) + A(-L|y|)/L rounds to
     # max(y, 0); that branch only replaces a ValueError.
     x = mu + sigma * y
-    a = antiderivative(y)
+    a = cdf_antiderivative(y)
     ly = L * y
     if math.isfinite(ly):
-        pooled = econ.p * sigma * (a if L == 1.0 else antiderivative(ly)) / L
+        pooled = econ.p * sigma * (a if L == 1.0 else cdf_antiderivative(ly)) / L
     else:
         pooled = econ.p * sigma * max(y, 0.0)
     return n * (econ.g * x - t * sigma * a - pooled)
@@ -291,7 +290,7 @@ def expected_profit(x: float, n: int, params: MarketParams) -> float:
     y = (x - params.mu) / params.sigma
     if not math.isfinite(y):
         raise ValueError(f"quantity x must be finite, got {x!r}")
-    profit = _profit_at(y, n, L, econ, params.mu, params.sigma, params.t, cdf_antiderivative)
+    profit = _profit_at(y, n, L, econ, params.mu, params.sigma, params.t)
     return _within_float_range(profit, f"the expected profit at x = {x!r}, n = {n:.6g}")
 
 

@@ -22,8 +22,8 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict
-from typing import Iterable, Iterator, Optional, Sequence
 
 from . import analytic_solver, core_analysis
 from .game_model import PARAM_KEYS, MarketParams, ParameterError, _read_config, params_from_mapping
@@ -43,7 +43,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _resolve_params(args: argparse.Namespace, defaults: Optional[dict] = None) -> MarketParams:
+def _resolve_params(args: argparse.Namespace, defaults: dict | None = None) -> MarketParams:
     """The market from the defaults, then the --config file's keys, then the
     flags given, each later source overriding the earlier."""
     values = dict(defaults or {})
@@ -77,11 +77,11 @@ def _cmd_solve(args, out) -> int:
     return 0
 
 
-def _limit_column(params: MarketParams, t: float) -> Optional[float]:
+def _limit_column(params: MarketParams, t: float) -> float | None:
     return analytic_solver._limit_at(params, t).y_inf if params.rho == 0.0 else None
 
 
-def _sweep_row(x: float, res: analytic_solver.SolveResult, y_inf: Optional[float]) -> tuple:
+def _sweep_row(x: float, res: analytic_solver.SolveResult, y_inf: float | None) -> tuple:
     return (x, res.y_opt, res.no_shortage_prob, res.profit, res.allocation,
             res.transshipment, y_inf)
 
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None, out: Optional[io.TextIOBase] = None) -> int:
+def main(argv: Sequence[str] | None = None, out: io.TextIOBase | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout

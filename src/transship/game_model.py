@@ -11,10 +11,10 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import os
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Mapping, Union
 
 from .normal_math import std_inv_cdf, std_pdf
 
@@ -235,20 +235,22 @@ def params_from_mapping(mapping: Mapping[str, float]) -> MarketParams:
     return MarketParams(**{k: float(mapping[k]) for k in PARAM_KEYS})
 
 
-def _read_config(path: Union[str, Path]) -> dict[str, float]:
+def _read_config(path: str | os.PathLike[str]) -> dict[str, float]:
     """The keys a flat key=value config file sets, each with its value.
 
     Blank lines and '#' comments are ignored. Values are parsed with float(),
     which is locale-independent and exact for decimal literals. A line
     without '=', a key that is not one of PARAM_KEYS, a bad number or a key
     set twice is a ParameterError naming the file and line. Lines end at
-    '\n' only (read_text has turned '\r\n' and '\r' into it), so a form feed
+    '\n' only (text mode has turned '\r\n' and '\r' into it), so a form feed
     or other Unicode line break stays inside its line. Which keys are present
     is left to the caller.
     """
     values: dict[str, float] = {}
     first_set: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().split("\n"), start=1):
+    with open(path) as file:
+        text = file.read()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -269,7 +271,7 @@ def _read_config(path: Union[str, Path]) -> dict[str, float]:
     return values
 
 
-def load_params(path: Union[str, Path]) -> MarketParams:
+def load_params(path: str | os.PathLike[str]) -> MarketParams:
     """Read a config file that sets each of r, c, nu, t, mu, sigma, rho once.
 
     The file's format and line-numbered errors, an unknown key among them,

@@ -1,20 +1,26 @@
 """Second-stage transshipment recourse: the exact transportation solver.
 
 After demands realize, surpluses H can be shipped toward shortages E; route
-(i, j) earns the marginal profit p_ij per unit and shipping is optional. For
-general agents this is a transportation problem solved here by successive
-most-profitable augmenting paths; for identical agents it collapses to
-p * min(sum(H), sum(E)). A path is the list of agents it visits, surplus and
-shortage agents in turn, and the solver sums the objective as it augments:
+(i, j) earns the marginal profit p_ij per unit and shipping is optional.
+Only routes from a surplus row S (H_i > 0) to a shortage column T (E_j > 0)
+can carry flow, so the solver keeps one state over S x T: the exact
+remainders of H and E, and the exact flow on each arc that shipped. Two
+builders fill it, and each prices what it ships.
+
+For general agents this is a transportation problem solved by successive
+most-profitable augmenting paths. A path is the list of agents it visits,
+surplus and shortage agents in turn, and the objective is a running sum:
 each path adds its exact profit times the units it carries.
 
 Identical agents are visible in the input: the profit is one value v on
-every route from a surplus agent to a shortage agent. There the solver
-skips the path search and builds the northwest-corner plan of the
-transportation problem (Dantzig, 1963), the first surplus agent shipping to
-the first shortage agent until one side is used up. That is the plan the
-path search would build, step for step (see `solve_transshipment_plan`),
-so both give the same bits; every other matrix takes the path search.
+every route from S to T. There the solver skips the path search and builds
+the northwest-corner plan of the transportation problem (Dantzig, 1963),
+the first surplus agent shipping to the first shortage agent until one side
+is used up; its objective is v times the units shipped, which is
+p * min(sum(H), sum(E)). That is the plan the path search would build, step
+for step (see `solve_transshipment_plan`), so both give the same bits.
+`symmetric_recourse_value` forms p * min(sum(H), sum(E)) from the totals on
+its own, so it stays an independent check of the northwest plan.
 
 All internal arithmetic uses `fractions.Fraction`. Float inputs are dyadic
 rationals, so sums, minima, and products stay exact and the results round to
@@ -29,9 +35,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 __all__ = [
     "GeneralAgentParams",
@@ -155,28 +161,28 @@ def _rounded(objective: Fraction) -> float:
                          f"(> {sys.float_info.max!r})") from None
 
 
-def _pooled_recourse(ss: SurplusShortage, p: float) -> float:
-    """p * min(sum(H), sum(E)) in exact arithmetic, rounded once."""
-    total_h = sum(Fraction(h) for h in ss.surplus)
-    total_e = sum(Fraction(e) for e in ss.shortage)
-    return _rounded(Fraction(p) * min(total_h, total_e))
-
-
 def symmetric_recourse_value(ss: SurplusShortage, p: float) -> float:
     """Recourse profit of identical agents, p * min(sum(H), sum(E)), finite p > 0."""
     if not 0.0 < p < math.inf:
         raise ValueError(f"marginal transshipment profit p must be positive and finite, got {p}")
-    return _pooled_recourse(ss, p)
+    total_h = sum(Fraction(h) for h in ss.surplus)
+    total_e = sum(Fraction(e) for e in ss.shortage)
+    return _rounded(Fraction(p) * min(total_h, total_e))
 
 
 def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[float]]) -> TransshipmentPlan:
     """Maximize sum(p_ij * W_ij) s.t. row sums <= H, column sums <= E, W >= 0.
 
     Only routes from a surplus row S (H_i > 0) to a shortage column T
-    (E_j > 0) can carry flow. When the profit is one value v on all of
-    S x T, the plan is the northwest-corner plan; otherwise successive
-    most-profitable augmenting paths solve it (`_augmenting_path_plan`).
-    Both give the same plan, bit for bit, on a constant block:
+    (E_j > 0) can carry flow, so the plan is built over S x T alone: exact
+    remainders rem_h over S and rem_e over T, and a sparse dict of exact
+    flows. One builder fills them and returns the exact profit of what it
+    shipped and its step count; the plan is assembled here once, each
+    shipment its flow rounded on its own and the objective rounded once.
+    When the profit is one value v on all of S x T, the builder is the
+    northwest-corner rule (`_northwest_flows`); otherwise successive
+    most-profitable augmenting paths (`_augmenting_path_flows`). Both give
+    the same plan, bit for bit, on a constant block:
     - Every alternating path on the block has gain v, so with v <= 0 no
       path is strictly profitable and the plan is empty.
     - Bellman-Ford visits arcs in (i, j) order, so the first row with
@@ -199,120 +205,108 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
 
     rows = [i for i in range(n) if ss.surplus[i] > 0.0]
     cols = [j for j in range(n) if ss.shortage[j] > 0.0]
+    rem_h = {i: Fraction(ss.surplus[i]) for i in rows}
+    rem_e = {j: Fraction(ss.shortage[j]) for j in cols}
+    flow: dict[tuple[int, int], Fraction] = {}
     # An empty block is constant too, and ships nothing.
     v = profit[rows[0]][cols[0]] if rows and cols else 0.0
-    if all(profit[i][j] == v for i in rows for j in cols):
-        return _northwest_plan(ss, rows, cols, v)
-    return _augmenting_path_plan(ss, profit)
+    constant = all(profit[i][j] == v for i in rows for j in cols)
+    build = _northwest_flows if constant else _augmenting_path_flows
+    objective, steps = build(rows, cols, profit, rem_h, rem_e, flow)
 
-
-def _northwest_plan(ss, rows, cols, v):
-    """The plan on a profit block constant at v over rows x cols.
-
-    Each step ships min(rem_h, rem_e) exactly from the first row with
-    spare surplus to the first column with spare shortage, and moves past
-    whichever side it used up, or both on a tie.
-    """
-    n = len(ss.surplus)
     shipments = [[0.0] * n for _ in range(n)]
-    if v <= 0.0:
-        return TransshipmentPlan(shipments=tuple(map(tuple, shipments)), objective=0.0,
-                                 augmentations=0)
-    rem_h = [Fraction(ss.surplus[i]) for i in rows]
-    rem_e = [Fraction(ss.shortage[j]) for j in cols]
-    a = b = steps = 0
-    while a < len(rows) and b < len(cols):
-        w = min(rem_h[a], rem_e[b])
-        shipments[rows[a]][cols[b]] = float(w)
-        steps += 1
-        rem_h[a] -= w
-        rem_e[b] -= w
-        if not rem_h[a]:
-            a += 1
-        if not rem_e[b]:
-            b += 1
+    for (i, j), w in flow.items():
+        shipments[i][j] = float(w)
     return TransshipmentPlan(shipments=tuple(map(tuple, shipments)),
-                             objective=_pooled_recourse(ss, v), augmentations=steps)
+                             objective=_rounded(objective), augmentations=steps)
 
 
-def _augmenting_path_plan(ss, profit):
-    """The plan by successive most-profitable augmenting paths, any matrix.
+def _northwest_flows(rows, cols, profit, rem_h, rem_e, flow):
+    """The flows on a profit block constant at v over rows x cols.
 
-    Augmentation on the bipartite residual graph stops as soon as the best
-    path profit is no longer strictly positive, so routes with p_ij <= 0
-    never carry flow. Ties between equal-profit paths resolve
-    deterministically by index order.
+    While v > 0, each step ships min(rem_h, rem_e) exactly from the first
+    row with spare surplus to the first column with spare shortage, and
+    moves past whichever side it used up, or both on a tie. Every unit
+    earns v, so the objective is v times the units shipped, which is
+    exactly v * min(sum(H), sum(E)).
+    """
+    v = profit[rows[0]][cols[0]] if rows and cols else 0.0
+    a = b = 0
+    while v > 0.0 and a < len(rows) and b < len(cols):
+        i, j = rows[a], cols[b]
+        w = flow[i, j] = min(rem_h[i], rem_e[j])
+        rem_h[i] -= w
+        rem_e[j] -= w
+        if not rem_h[i]:
+            a += 1
+        if not rem_e[j]:
+            b += 1
+    return Fraction(v) * sum(flow.values()), len(flow)
+
+
+def _augmenting_path_flows(rows, cols, profit, rem_h, rem_e, flow):
+    """The flows by successive most-profitable augmenting paths, any matrix.
+
+    Only the positive-profit arcs of rows x cols can carry flow, so only
+    they are kept, exact. Augmentation stops as soon as the best path
+    profit is no longer strictly positive. Ties between equal-profit paths
+    resolve deterministically by index order.
 
     Each path [i0, j0, ..., ik, jk] ships along (i0, j0), ..., (ik, jk) and
     takes flow back along (i1, j0), ..., (ik, j(k-1)). Its bottleneck is
     positive: i0 has no predecessor, so it has spare surplus; jk is chosen
     with spare shortage; and a route is taken back only while it carries
     flow. Each augmentation raises sum(p_ij * W_ij) by exactly the path's
-    gain times its bottleneck, so the objective is that running sum, rounded
-    once; past the float range it raises ValueError.
+    gain times its bottleneck, so the objective is that running sum.
     """
-    n = len(ss.surplus)
-    rem_h = [Fraction(h) for h in ss.surplus]
-    rem_e = [Fraction(e) for e in ss.shortage]
-    p = [[Fraction(v) for v in row] for row in profit]
-    flow = [[Fraction(0)] * n for _ in range(n)]
-    # Only positive-profit routes between a real surplus and a real shortage
-    # can ever carry flow.
-    arcs = [(i, j) for i in range(n) for j in range(n)
-            if p[i][j] > 0 and ss.surplus[i] > 0.0 and ss.shortage[j] > 0.0]
-
+    p = {(i, j): Fraction(profit[i][j]) for i in rows for j in cols if profit[i][j] > 0.0}
     objective = Fraction(0)
-    max_rounds = 4 * (len(arcs) + 2 * n) + 16
-    for augmentations in range(max_rounds):
-        found = _best_augmenting_path(n, arcs, p, flow, rem_h, rem_e)
+    for steps in range(4 * (len(p) + len(rows) + len(cols)) + 16):
+        found = _best_augmenting_path(rows, cols, p, flow, rem_h, rem_e)
         if found is None:
-            break
+            return objective, steps
         gain, path = found
         back = list(zip(path[2::2], path[1::2]))
-        bottleneck = min(rem_h[path[0]], rem_e[path[-1]], *(flow[i][j] for i, j in back))
-        for i, j in zip(path[0::2], path[1::2]):
-            flow[i][j] += bottleneck
-        for i, j in back:
-            flow[i][j] -= bottleneck
+        bottleneck = min(rem_h[path[0]], rem_e[path[-1]], *(flow[arc] for arc in back))
+        for arc in zip(path[0::2], path[1::2]):
+            flow[arc] = flow.get(arc, 0) + bottleneck
+        for arc in back:
+            flow[arc] -= bottleneck
         rem_h[path[0]] -= bottleneck
         rem_e[path[-1]] -= bottleneck
         objective += gain * bottleneck
-    else:
-        raise RuntimeError("augmenting-path loop failed to terminate")
-
-    shipments = tuple(tuple(float(w) for w in row) for row in flow)
-    return TransshipmentPlan(shipments=shipments, objective=_rounded(objective),
-                             augmentations=augmentations)
+    raise RuntimeError("augmenting-path loop failed to terminate")
 
 
-def _best_augmenting_path(n, arcs, p, flow, rem_h, rem_e):
+def _best_augmenting_path(rows, cols, p, flow, rem_h, rem_e):
     """Most profitable residual path from spare surplus to spare shortage.
 
-    Bellman-Ford on negated profits: pred_e[j] is the agent that ships to j,
-    pred_h[i] the agent whose flow from i is taken back, which only a route
-    with flow > 0 allows. Returns (gain, path), where path lists the agents
-    visited, [i0, j0, ..., ik, jk], and gain = -dist_e[jk] is its exact
-    profit; jk is the first agent by index with spare shortage and the least
-    distance. Returns None when no path with strictly positive profit
-    remains. Successive shortest-path augmentation keeps the residual graph
-    free of negative cycles.
+    Bellman-Ford on negated profits over the arcs of p: pred_e[j] is the
+    row that ships to j, pred_h[i] the column whose flow from i is taken
+    back, which only an arc with flow > 0 allows. Returns (gain, path),
+    where path lists the agents visited, [i0, j0, ..., ik, jk], and
+    gain = -dist_e[jk] is its exact profit; jk is the first column with
+    spare shortage and the least distance. Returns None when no path with
+    strictly positive profit remains. Successive shortest-path augmentation
+    keeps the residual graph free of negative cycles.
     """
-    dist_h: list[Fraction | None] = [Fraction(0) if rem_h[i] > 0 else None for i in range(n)]
-    dist_e: list[Fraction | None] = [None] * n
-    pred_h: list[int | None] = [None] * n
-    pred_e: list[int | None] = [None] * n
+    dist_h: dict[int, Fraction | None] = {i: Fraction(0) if rem_h[i] else None for i in rows}
+    dist_e: dict[int, Fraction | None] = dict.fromkeys(cols)
+    pred_h: dict[int, int | None] = dict.fromkeys(rows)
+    pred_e: dict[int, int | None] = dict.fromkeys(cols)
 
-    for _ in range(2 * n + 1):
+    for _ in range(len(rows) + len(cols) + 1):
         changed = False
-        for i, j in arcs:
+        for arc, pij in p.items():
+            i, j = arc
             if dist_h[i] is not None:
-                cand = dist_h[i] - p[i][j]
+                cand = dist_h[i] - pij
                 if dist_e[j] is None or cand < dist_e[j]:
                     dist_e[j] = cand
                     pred_e[j] = i
                     changed = True
-            if flow[i][j] > 0 and dist_e[j] is not None:
-                cand = dist_e[j] + p[i][j]
+            if flow.get(arc) and dist_e[j] is not None:
+                cand = dist_e[j] + pij
                 if dist_h[i] is None or cand < dist_h[i]:
                     dist_h[i] = cand
                     pred_h[i] = j
@@ -323,15 +317,15 @@ def _best_augmenting_path(n, arcs, p, flow, rem_h, rem_e):
         raise RuntimeError("negative cycle detected in residual graph")
 
     end = None
-    for j in range(n):
-        if rem_e[j] > 0 and dist_e[j] is not None and (end is None or dist_e[j] < dist_e[end]):
+    for j in cols:
+        if rem_e[j] and dist_e[j] is not None and (end is None or dist_e[j] < dist_e[end]):
             end = j
     if end is None or dist_e[end] >= 0:
         return None
 
     # Walk predecessors back from the chosen shortage to a spare surplus.
     path = [end]
-    for _ in range(2 * len(arcs) + 2):
+    for _ in range(2 * len(p) + 2):
         i = pred_e[path[-1]]
         path.append(i)
         if pred_h[i] is None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +30,6 @@ from .game_model import (
     pooling_factor,
     validate_params,
 )
-from .normal_math import cdf_antiderivative
 
 if TYPE_CHECKING:
     import numpy as np
@@ -423,8 +421,7 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
     ends: point 0 is evaluated first and the last point in the coarse pass.
     """
     econ = validate_params(params)
-    if (not isinstance(grid_points, numbers.Integral) or grid_points < 3
-            or grid_points % 2 == 0):
+    if not _is_integer(grid_points) or grid_points < 3 or grid_points % 2 == 0:
         raise ValueError(f"grid_points must be an odd integer >= 3, got {grid_points!r}")
     if not (math.isfinite(2.0 * grid_half_width) and grid_half_width > 0):
         raise ValueError(f"grid_half_width must be finite and positive, and 2 * grid_half_width "
@@ -444,7 +441,7 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
 
     def profit(k: int) -> float:
         y = point(k)
-        value = _profit_at(y, n, L, econ, mu, sigma, t, cdf_antiderivative)
+        value = _profit_at(y, n, L, econ, mu, sigma, t)
         if math.isnan(value) or value == math.inf:
             raise ValueError(f"expected profit is {value!r} at x = {mu + sigma * y!r}")
         return value

@@ -18,11 +18,12 @@ from transship.game_model import MarketParams
 SRC = Path(transship.__file__).resolve().parents[1]
 
 
-def run_fresh(code, *args, returncode=0):
-    """Run `code` in a fresh interpreter in which every warning is an error."""
+def run_fresh(code, *args, returncode=0, flags=()):
+    """Run `code` in a fresh interpreter, started with the interpreter
+    `flags`, in which every warning is an error."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
+    done = subprocess.run([sys.executable, *flags, "-W", "error", "-c", code, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == returncode, done.stderr
     return done

@@ -1,4 +1,5 @@
-"""numpy loads only with the first pass that draws or reduces scenarios.
+"""numpy loads only with the first pass that draws or reduces scenarios, and
+`solve` loads neither typing nor pathlib.
 
 The test modules import numpy themselves, so what a user's process loads is
 checked in a fresh interpreter.
@@ -101,6 +102,24 @@ def test_scalar_commands_leave_numpy_unloaded(fresh_interpreter):
         "import transship": False, "import transship.cli": False,
         **{name: False for name in commands},
         "dir(transship)": False, "from transship import *": False}
+
+
+TYPING_AND_PATHLIB = """
+import io, json, sys
+steps = {}
+import transship
+steps["import transship"] = sorted({"typing", "pathlib"} & set(sys.modules))
+import transship.cli
+transship.cli.main(["solve", *json.loads(sys.argv[1]), "--n", "5"], out=io.StringIO())
+steps["solve"] = sorted({"typing", "pathlib"} & set(sys.modules))
+print(json.dumps(steps))
+"""
+
+
+def test_solve_leaves_typing_and_pathlib_unloaded():
+    # Without `site`, which can preload both, the package and `solve` load neither.
+    done = run_fresh(TYPING_AND_PATHLIB, json.dumps(MARKET), flags=["-S"])
+    assert json.loads(done.stdout) == {"import transship": [], "solve": []}
 
 
 SIMULATION_STEPS = """

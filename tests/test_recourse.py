@@ -326,20 +326,26 @@ def constant_on_block(ss, profit, v):
 
 @pytest.fixture
 def path_search(monkeypatch):
-    """The augmenting-path loop, barred from the public solver for the test."""
-    loop = recourse._augmenting_path_plan
+    """The solver with the augmenting-path builder in place of the northwest
+    one. The public solver, meanwhile, may not run the path search."""
+    loop = recourse._augmenting_path_flows
 
-    def refuse(ss, profit):
+    def refuse(*state):
         raise AssertionError("the path search ran on a constant block")
 
-    monkeypatch.setattr(recourse, "_augmenting_path_plan", refuse)
-    return loop
+    def solve(ss, profit):
+        with monkeypatch.context() as swap:
+            swap.setattr(recourse, "_northwest_flows", loop)
+            return solve_transshipment_plan(ss, profit)
+
+    monkeypatch.setattr(recourse, "_augmenting_path_flows", refuse)
+    return solve
 
 
 class TestNorthwestMatchesPathSearch:
     # On a profit block constant on S x T the solver builds the northwest-corner
-    # plan; the augmenting-path loop, called directly, is its oracle for every
-    # shipment, the objective and the augmentation count.
+    # plan; the same solver with the augmenting-path builder swapped in is its
+    # oracle for every shipment, the objective and the augmentation count.
     @staticmethod
     def check(path_search, ss, profit):
         plan = solve_transshipment_plan(ss, profit)
@@ -421,14 +427,37 @@ class TestIdenticalAgentsAtScale:
 
     def test_general_matrix_takes_the_path_search(self, monkeypatch):
         calls = []
-        loop = recourse._augmenting_path_plan
+        loop = recourse._augmenting_path_flows
 
-        def counted(ss, profit):
-            calls.append(ss)
-            return loop(ss, profit)
+        def counted(*state):
+            calls.append(state[:2])
+            return loop(*state)
 
-        monkeypatch.setattr(recourse, "_augmenting_path_plan", counted)
+        monkeypatch.setattr(recourse, "_augmenting_path_flows", counted)
         ss, profit = general_plan_inputs(np.random.default_rng(2707), 6)
         plan = solve_transshipment_plan(ss, profit)
-        assert calls == [ss]
+        assert calls == [block(ss)]
         assert plan.augmentations >= 1
+
+
+class TestCantHappenGuards:
+    # Successive shortest paths never reach these guards; each is reached here
+    # from a state the solver never builds, and raises its one line.
+    def test_negative_cycle(self):
+        # Flow on (0, 2) and (1, 3) at profit 1, while (0, 3) and (1, 2) earn
+        # 5: the cycle 0 -> 3 -> 1 -> 2 -> 0 gains 8 per unit.
+        p = {(0, 2): Fraction(1), (0, 3): Fraction(5), (1, 2): Fraction(5), (1, 3): Fraction(1)}
+        flow = {(0, 2): Fraction(1), (1, 3): Fraction(1)}
+        rem_h = {0: Fraction(1), 1: Fraction(0)}
+        rem_e = {2: Fraction(0), 3: Fraction(1)}
+        with pytest.raises(RuntimeError, match="^negative cycle detected in residual graph$"):
+            recourse._best_augmenting_path([0, 1], [2, 3], p, flow, rem_h, rem_e)
+
+    def test_augmenting_loop_that_does_not_end(self, monkeypatch):
+        # A search that keeps returning the route 0 -> 1 after it is drained.
+        monkeypatch.setattr(recourse, "_best_augmenting_path",
+                            lambda *state: (Fraction(3), [0, 1]))
+        ss = SurplusShortage((2.0, 0.0, 0.0), (0.0, 1.0, 1.0))
+        profit = [[0.0, 3.0, 1.0], [0.0] * 3, [0.0] * 3]
+        with pytest.raises(RuntimeError, match="^augmenting-path loop failed to terminate$"):
+            solve_transshipment_plan(ss, profit)

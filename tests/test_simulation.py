@@ -16,7 +16,7 @@ from transship.analytic_solver import (
     expected_transshipment,
     solve_optimal_quantity,
 )
-from transship import simulation
+from transship import analytic_solver, simulation
 from transship.game_model import MarketParams, ParameterError, pooling_factor, validate_params
 from transship.normal_math import cdf_antiderivative, std_cdf, std_pdf
 from transship.simulation import (
@@ -1150,15 +1150,15 @@ class TestProfitKernel:
 
 
 def count_antiderivative_calls(monkeypatch):
-    """Wrap the grid's cdf_antiderivative and return the list of its arguments.
-    One J_n evaluation calls it at y and, where L > 1, at L * y."""
+    """Wrap the cdf_antiderivative that J_n calls and return the list of its
+    arguments. One J_n evaluation calls it at y and, where L > 1, at L * y."""
     calls = []
 
     def counted(y):
         calls.append(y)
         return cdf_antiderivative(y)
 
-    monkeypatch.setattr(simulation, "cdf_antiderivative", counted)
+    monkeypatch.setattr(analytic_solver, "cdf_antiderivative", counted)
     return calls
 
 
