@@ -19,6 +19,7 @@ from .recourse import *
 _SIMULATION_NAMES = frozenset({
     "DemandMatrix",
     "McEstimate",
+    "RNG_ALGORITHM",
     "brute_force_optimal",
     "dump_scenarios",
     "estimate_profit",

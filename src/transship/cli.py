@@ -3,15 +3,17 @@
 Subcommands: solve a single coalition size, sweep transport cost or coalition
 size (plot-ready CSV), print the large-coalition limit, validate closed forms
 against Monte Carlo, check the equal-allocation core, and solve a
-transshipment plan from CSV inputs. Numeric output uses shortest round-trip
-float formatting so files re-parse bit-exactly.
+transshipment plan from CSV inputs. Floats print in shortest round-trip
+form (csv writes them with repr, and str is repr for a float), so files
+re-parse bit-exactly.
 
 Every subcommand but `recourse` reads the market from one shared parser, and
 every one takes --format. Rows of results go out through one writer: one
-JSON object per row, or a CSV header and one line per row; `table` prints a
-single result as aligned name/value pairs, and `sweep` and `recourse` write
-CSV for it. Both sweeps check their whole range first, then write each row as
-it is solved. Both `recourse` input files are read by one CSV row rule.
+JSON object per row (json is imported only there), or a CSV header and one
+line per row; `table` prints a single result as aligned name/value pairs,
+and `sweep` and `recourse` write CSV for it. Both sweeps check their whole
+range first, then write each row as it is solved. Both `recourse` input
+files are read by one CSV row rule.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
@@ -33,14 +34,6 @@ __all__ = ["main", "entrypoint", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 12345
 SWEEP_HEADER = ("x", "Y_n", "Phi_Y_n", "J_dot_n", "beta_n", "omega_n", "Y_inf")
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _resolve_params(args: argparse.Namespace, defaults: dict | None = None) -> MarketParams:
@@ -57,18 +50,19 @@ def _emit_rows(names: Sequence[str], rows: Iterable[Sequence], fmt: str, out) ->
     """Write each row as it comes: one JSON object per row, a CSV header and
     one line per row, or for "table" the aligned name/value pairs of each row."""
     if fmt == "json":
+        import json  # only JSON output loads it
+
         for row in rows:
             print(json.dumps(dict(zip(names, row))), file=out)
     elif fmt == "table":
         width = max(map(len, names))
         for row in rows:
             for name, value in zip(names, row):
-                print(f"{name:<{width}}  {_fmt(value)}", file=out)
+                print(f"{name:<{width}}  {value}", file=out)
     else:
         writer = csv.writer(out)
         writer.writerow(names)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _cmd_solve(args, out) -> int:
@@ -150,11 +144,11 @@ def _cmd_simulate(args, out) -> int:
         _emit_rows(("quantity", "closed_form", "mc_mean", "mc_std_error", "count",
                     "within_4_std_errors"), rows, args.format, out)
         return 0
-    print(f"x = {_fmt(x)}  n = {args.n}  count = {args.count}  seed = {args.seed} "
+    print(f"x = {x}  n = {args.n}  count = {args.count}  seed = {args.seed} "
           f"({samples.rng_algorithm})", file=out)
     for name, closed, mean, std_error, _, ok in rows:
         status = "PASS" if ok else "FAIL"
-        print(f"{name:<14} closed {_fmt(closed)}  mc {_fmt(mean)} +- {_fmt(std_error)}  "
+        print(f"{name:<14} closed {closed}  mc {mean} +- {std_error}  "
               f"[{status} at 4 std errors]", file=out)
     return 0
 
@@ -163,7 +157,8 @@ def _cmd_core_check(args, out) -> int:
     params = _resolve_params(args)
     report = core_analysis.check_equal_allocation_core(params, args.n, args.tolerance)
     if args.format == "json":
-        print(report.to_json(), file=out)
+        res = asdict(report)
+        _emit_rows(list(res), [res.values()], "json", out)
     else:
         _emit_rows(("n", "in_core", "worst_margin", "witness_m", "beta_n"),
                    [(report.n, report.in_core, report.worst_margin, report.witness_m,
@@ -219,7 +214,7 @@ def _cmd_recourse(args, out) -> int:
     plan = solve_transshipment_plan(ss, _read_profit_file(args.profit_file, len(ss.surplus)))
     if args.format == "json":
         _emit_rows(("shipments", "objective"),
-                   [([list(r) for r in plan.shipments], plan.objective)], "json", out)
+                   [(plan.shipments, plan.objective)], "json", out)
         return 0
     # table and csv both print the plan as CSV: a line per route used, then the objective.
     routes = [(i + 1, j + 1, quantity) for i, row in enumerate(plan.shipments)

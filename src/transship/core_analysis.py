@@ -7,8 +7,7 @@ reduces to beta_n >= beta_m for every m <= n.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .analytic_solver import _solve_sizes
 from .game_model import MarketParams
@@ -32,9 +31,6 @@ class CoreReport:
     in_core: bool
     worst_margin: float
     witness_m: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))  # beta, a tuple, is written as a list
 
 
 def characteristic_values(params: MarketParams, n: int) -> list[float]:

@@ -462,9 +462,11 @@ class TestCoreCheck:
         record = json.loads(text)
         report = check_equal_allocation_core(
             MarketParams(r=10, c=6, nu=2, t=2, mu=100, sigma=20, rho=0), 10)
+        assert record["n"] == 10
         assert record["in_core"] is True
-        assert record["beta"] == list(report.beta)
+        assert record["witness_m"] == report.witness_m
         assert record["worst_margin"] == report.worst_margin
+        assert record["beta"] == list(report.beta)
 
     def test_csv_text(self):
         code, text = run_cli(["core-check", *MEAN_ARGS, "--n", "10", "--format", "csv"])

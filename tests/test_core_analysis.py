@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -123,12 +122,3 @@ class TestCoreCheck:
         for call in (characteristic_values, check_equal_allocation_core):
             with pytest.raises(ParameterError, match="^5 coalition sizes requested"):
                 call(MEAN_GAME, 5)
-
-    def test_json_round_trip(self):
-        report = check_equal_allocation_core(MEAN_GAME, 4)
-        payload = json.loads(report.to_json())
-        assert payload["n"] == 4
-        assert payload["in_core"] is True
-        assert payload["witness_m"] == report.witness_m
-        assert payload["worst_margin"] == report.worst_margin
-        assert payload["beta"] == list(report.beta)

@@ -1,10 +1,12 @@
-"""numpy loads only with the first pass that draws or reduces scenarios, and
-`solve` loads neither typing nor pathlib.
+"""numpy loads only with the first pass that draws or reduces scenarios;
+`solve` loads neither typing nor pathlib, and json loads only with JSON
+output.
 
 The test modules import numpy themselves, so what a user's process loads is
 checked in a fresh interpreter.
 """
 
+import ast
 import json
 
 import pytest
@@ -13,8 +15,9 @@ from support import run_fresh
 import transship
 from transship import simulation
 
-SIMULATION_NAMES = ("DemandMatrix", "McEstimate", "sample_demands", "estimate_profit",
-                    "estimate_transshipment", "brute_force_optimal", "dump_scenarios")
+SIMULATION_NAMES = ("RNG_ALGORITHM", "DemandMatrix", "McEstimate", "sample_demands",
+                    "estimate_profit", "estimate_transshipment", "brute_force_optimal",
+                    "dump_scenarios")
 MARKET = ["--r", "10", "--c", "6", "--nu", "2", "--t", "2",
           "--mu", "100", "--sigma", "20", "--rho", "0"]
 
@@ -104,22 +107,32 @@ def test_scalar_commands_leave_numpy_unloaded(fresh_interpreter):
         "dir(transship)": False, "from transship import *": False}
 
 
-TYPING_AND_PATHLIB = """
-import io, json, sys
+# Reads the market from argv and prints a repr, so that the script itself
+# loads no watched module.
+START_UP_MODULES = """
+import io, sys
+watched = {"json", "pathlib", "typing"}
+market = sys.argv[1:]
 steps = {}
 import transship
-steps["import transship"] = sorted({"typing", "pathlib"} & set(sys.modules))
+steps["import transship"] = sorted(watched & set(sys.modules))
 import transship.cli
-transship.cli.main(["solve", *json.loads(sys.argv[1]), "--n", "5"], out=io.StringIO())
-steps["solve"] = sorted({"typing", "pathlib"} & set(sys.modules))
-print(json.dumps(steps))
+for name, argv in [("solve", ["solve", *market, "--n", "5"]),
+                   ("csv sweep", ["sweep", "--over", "n", "--from", "1", "--to", "5",
+                                  *market, "--format", "csv"]),
+                   ("json solve", ["solve", *market, "--n", "5", "--format", "json"])]:
+    assert transship.cli.main(argv, out=io.StringIO()) == 0, name
+    steps[name] = sorted(watched & set(sys.modules))
+print(repr(steps))
 """
 
 
-def test_solve_leaves_typing_and_pathlib_unloaded():
-    # Without `site`, which can preload both, the package and `solve` load neither.
-    done = run_fresh(TYPING_AND_PATHLIB, json.dumps(MARKET), flags=["-S"])
-    assert json.loads(done.stdout) == {"import transship": [], "solve": []}
+def test_start_up_loads_no_typing_or_pathlib_and_json_only_for_json_output():
+    # Without `site`, which can preload all three, the package, `solve` and a
+    # CSV sweep load none of them; JSON output loads json alone.
+    done = run_fresh(START_UP_MODULES, *MARKET, flags=["-S"])
+    assert ast.literal_eval(done.stdout) == {
+        "import transship": [], "solve": [], "csv sweep": [], "json solve": ["json"]}
 
 
 SIMULATION_STEPS = """
@@ -220,6 +233,11 @@ def test_all_lists_every_public_name():
     assert set(transship.__all__) <= set(namespace)
     assert set(SIMULATION_NAMES) <= set(transship.__all__)
     assert transship.simulation is simulation
+
+
+def test_lazy_names_are_the_simulation_names():
+    assert transship._SIMULATION_NAMES == set(simulation.__all__)
+    assert set(SIMULATION_NAMES) == set(simulation.__all__)
 
 
 def test_all_names_each_public_name_once():
