@@ -3,9 +3,11 @@
 After demands realize, surpluses H can be shipped toward shortages E; route
 (i, j) earns the marginal profit p_ij per unit and shipping is optional.
 Only routes from a surplus row S (H_i > 0) to a shortage column T (E_j > 0)
-can carry flow, so the solver keeps one state over S x T: the exact
-remainders of H and E, and the exact flow on each arc that shipped. Two
-builders fill it, and each prices what it ships.
+can carry flow, so the solver keeps one state over S x T: the exact flow on
+each arc that shipped, and one exact remainder per agent, H_i for i in S and
+E_j for j in T. No agent has both a surplus and a shortage, so S and T are
+disjoint and every per-agent map is keyed by agent alone. Two builders fill
+the state, and each prices what it ships.
 
 For general agents this is a transportation problem solved by successive
 most-profitable augmenting paths. A path is the list of agents it visits,
@@ -174,11 +176,12 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
     """Maximize sum(p_ij * W_ij) s.t. row sums <= H, column sums <= E, W >= 0.
 
     Only routes from a surplus row S (H_i > 0) to a shortage column T
-    (E_j > 0) can carry flow, so the plan is built over S x T alone: exact
-    remainders rem_h over S and rem_e over T, and a sparse dict of exact
-    flows. One builder fills them and returns the exact profit of what it
-    shipped and its step count; the plan is assembled here once, each
-    shipment its flow rounded on its own and the objective rounded once.
+    (E_j > 0) can carry flow, so the plan is built over S x T alone: one
+    map rem of exact remainders, H_i for i in S and E_j for j in T, keyed by
+    agent since S and T are disjoint, and a sparse dict of exact flows. One
+    builder fills them and returns the exact profit of what it shipped and
+    its step count; the plan is assembled here once, each shipment its flow
+    rounded on its own and the objective rounded once.
     When the profit is one value v on all of S x T, the builder is the
     northwest-corner rule (`_northwest_flows`); otherwise successive
     most-profitable augmenting paths (`_augmenting_path_flows`). Both give
@@ -186,12 +189,12 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
     - Every alternating path on the block has gain v, so with v <= 0 no
       path is strictly profitable and the plan is empty.
     - Bellman-Ford visits arcs in (i, j) order, so the first row with
-      spare surplus sets dist_e[j] = -v for every column; later rows tie
+      spare surplus sets dist[j] = -v for every column; later rows tie
       and are never strictly less.
     - A back arc brings a used-up row to distance -v + v = 0, the origins'
       own distance, so it changes no predecessor.
     - The path ends at the first column with spare shortage.
-    So each round ships min(rem_h, rem_e) on one arc, (first spare row,
+    So each round ships min(rem[i], rem[j]) on one arc, (first spare row,
     first spare column): one northwest step, at most |S| + |T| - 1 of
     them. The objective is v * min(sum(H), sum(E)) either way.
     """
@@ -205,14 +208,14 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
 
     rows = [i for i in range(n) if ss.surplus[i] > 0.0]
     cols = [j for j in range(n) if ss.shortage[j] > 0.0]
-    rem_h = {i: Fraction(ss.surplus[i]) for i in rows}
-    rem_e = {j: Fraction(ss.shortage[j]) for j in cols}
+    rem = {i: Fraction(ss.surplus[i]) for i in rows}
+    rem.update((j, Fraction(ss.shortage[j])) for j in cols)
     flow: dict[tuple[int, int], Fraction] = {}
     # An empty block is constant too, and ships nothing.
     v = profit[rows[0]][cols[0]] if rows and cols else 0.0
     constant = all(profit[i][j] == v for i in rows for j in cols)
     build = _northwest_flows if constant else _augmenting_path_flows
-    objective, steps = build(rows, cols, profit, rem_h, rem_e, flow)
+    objective, steps = build(rows, cols, profit, rem, flow)
 
     shipments = [[0.0] * n for _ in range(n)]
     for (i, j), w in flow.items():
@@ -221,30 +224,31 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
                              objective=_rounded(objective), augmentations=steps)
 
 
-def _northwest_flows(rows, cols, profit, rem_h, rem_e, flow):
+def _northwest_flows(rows, cols, profit, rem, flow):
     """The flows on a profit block constant at v over rows x cols.
 
-    While v > 0, each step ships min(rem_h, rem_e) exactly from the first
-    row with spare surplus to the first column with spare shortage, and
-    moves past whichever side it used up, or both on a tie. Every unit
-    earns v, so the objective is v times the units shipped, which is
+    While v > 0, each step ships min(rem[i], rem[j]) exactly from the first
+    row i with spare surplus to the first column j with spare shortage, and
+    moves past whichever side it used up, or both on a tie. One map rem
+    holds both sides, keyed by agent, since no row is also a column. Every
+    unit earns v, so the objective is v times the units shipped, which is
     exactly v * min(sum(H), sum(E)).
     """
     v = profit[rows[0]][cols[0]] if rows and cols else 0.0
     a = b = 0
     while v > 0.0 and a < len(rows) and b < len(cols):
         i, j = rows[a], cols[b]
-        w = flow[i, j] = min(rem_h[i], rem_e[j])
-        rem_h[i] -= w
-        rem_e[j] -= w
-        if not rem_h[i]:
+        w = flow[i, j] = min(rem[i], rem[j])
+        rem[i] -= w
+        rem[j] -= w
+        if not rem[i]:
             a += 1
-        if not rem_e[j]:
+        if not rem[j]:
             b += 1
     return Fraction(v) * sum(flow.values()), len(flow)
 
 
-def _augmenting_path_flows(rows, cols, profit, rem_h, rem_e, flow):
+def _augmenting_path_flows(rows, cols, profit, rem, flow):
     """The flows by successive most-profitable augmenting paths, any matrix.
 
     Only the positive-profit arcs of rows x cols can carry flow, so only
@@ -262,54 +266,55 @@ def _augmenting_path_flows(rows, cols, profit, rem_h, rem_e, flow):
     p = {(i, j): Fraction(profit[i][j]) for i in rows for j in cols if profit[i][j] > 0.0}
     objective = Fraction(0)
     for steps in range(4 * (len(p) + len(rows) + len(cols)) + 16):
-        found = _best_augmenting_path(rows, cols, p, flow, rem_h, rem_e)
+        found = _best_augmenting_path(rows, cols, p, flow, rem)
         if found is None:
             return objective, steps
         gain, path = found
         back = list(zip(path[2::2], path[1::2]))
-        bottleneck = min(rem_h[path[0]], rem_e[path[-1]], *(flow[arc] for arc in back))
+        bottleneck = min(rem[path[0]], rem[path[-1]], *(flow[arc] for arc in back))
         for arc in zip(path[0::2], path[1::2]):
             flow[arc] = flow.get(arc, 0) + bottleneck
         for arc in back:
             flow[arc] -= bottleneck
-        rem_h[path[0]] -= bottleneck
-        rem_e[path[-1]] -= bottleneck
+        rem[path[0]] -= bottleneck
+        rem[path[-1]] -= bottleneck
         objective += gain * bottleneck
     raise RuntimeError("augmenting-path loop failed to terminate")
 
 
-def _best_augmenting_path(rows, cols, p, flow, rem_h, rem_e):
+def _best_augmenting_path(rows, cols, p, flow, rem):
     """Most profitable residual path from spare surplus to spare shortage.
 
-    Bellman-Ford on negated profits over the arcs of p: pred_e[j] is the
-    row that ships to j, pred_h[i] the column whose flow from i is taken
-    back, which only an arc with flow > 0 allows. Returns (gain, path),
-    where path lists the agents visited, [i0, j0, ..., ik, jk], and
-    gain = -dist_e[jk] is its exact profit; jk is the first column with
-    spare shortage and the least distance. Returns None when no path with
-    strictly positive profit remains. Successive shortest-path augmentation
-    keeps the residual graph free of negative cycles.
+    Bellman-Ford on negated profits over the arcs of p. S and T are
+    disjoint, so one dist map and one pred map, keyed by agent, cover both:
+    pred[j] is the row that ships to column j, and pred[i] the column whose
+    flow from row i is taken back, which only an arc with flow > 0 allows.
+    Returns (gain, path), where path lists the agents visited,
+    [i0, j0, ..., ik, jk], and gain = -dist[jk] is its exact profit; jk is
+    the first column with spare shortage and the least distance. Returns
+    None when no path with strictly positive profit remains. Successive
+    shortest-path augmentation keeps the residual graph free of negative
+    cycles.
     """
-    dist_h: dict[int, Fraction | None] = {i: Fraction(0) if rem_h[i] else None for i in rows}
-    dist_e: dict[int, Fraction | None] = dict.fromkeys(cols)
-    pred_h: dict[int, int | None] = dict.fromkeys(rows)
-    pred_e: dict[int, int | None] = dict.fromkeys(cols)
+    dist: dict[int, Fraction | None] = dict.fromkeys(rem)
+    dist.update((i, Fraction(0)) for i in rows if rem[i])
+    pred: dict[int, int | None] = dict.fromkeys(rem)
 
     for _ in range(len(rows) + len(cols) + 1):
         changed = False
         for arc, pij in p.items():
             i, j = arc
-            if dist_h[i] is not None:
-                cand = dist_h[i] - pij
-                if dist_e[j] is None or cand < dist_e[j]:
-                    dist_e[j] = cand
-                    pred_e[j] = i
+            if dist[i] is not None:
+                cand = dist[i] - pij
+                if dist[j] is None or cand < dist[j]:
+                    dist[j] = cand
+                    pred[j] = i
                     changed = True
-            if flow.get(arc) and dist_e[j] is not None:
-                cand = dist_e[j] + pij
-                if dist_h[i] is None or cand < dist_h[i]:
-                    dist_h[i] = cand
-                    pred_h[i] = j
+            if flow.get(arc) and dist[j] is not None:
+                cand = dist[j] + pij
+                if dist[i] is None or cand < dist[i]:
+                    dist[i] = cand
+                    pred[i] = j
                     changed = True
         if not changed:
             break
@@ -318,20 +323,19 @@ def _best_augmenting_path(rows, cols, p, flow, rem_h, rem_e):
 
     end = None
     for j in cols:
-        if rem_e[j] and dist_e[j] is not None and (end is None or dist_e[j] < dist_e[end]):
+        if rem[j] and dist[j] is not None and (end is None or dist[j] < dist[end]):
             end = j
-    if end is None or dist_e[end] >= 0:
+    if end is None or dist[end] >= 0:
         return None
 
-    # Walk predecessors back from the chosen shortage to a spare surplus.
+    # Walk predecessors back from the chosen shortage to an agent with none,
+    # a spare surplus; a path visits each agent at most once.
     path = [end]
-    for _ in range(2 * len(p) + 2):
-        i = pred_e[path[-1]]
-        path.append(i)
-        if pred_h[i] is None:
+    for _ in range(len(pred)):
+        if pred[path[-1]] is None:
             break
-        path.append(pred_h[i])
+        path.append(pred[path[-1]])
     else:
         raise RuntimeError("predecessor walk failed to reach an origin")
     path.reverse()
-    return -dist_e[end], path
+    return -dist[end], path

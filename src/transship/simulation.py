@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
 
 from .analytic_solver import _profit_at
 from .game_model import (
@@ -31,6 +30,7 @@ from .game_model import (
     validate_params,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -117,7 +117,7 @@ class DemandMatrix:
     sigma: float = field(repr=False)
     rng_algorithm: str = field(default=RNG_ALGORITHM, init=False)
     # (x.hex(), S_H, S_E) of the last x the estimators reduced the scenarios at.
-    _last_totals: Optional[tuple] = field(default=None, init=False, repr=False)
+    _last_totals: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, mu, sigma, rho = self.n, self.mu, self.sigma, self.rho_target
@@ -476,7 +476,7 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
     return mu + sigma * y, best
 
 
-def dump_scenarios(samples: DemandMatrix, path: Union[str, Path]) -> None:
+def dump_scenarios(samples: DemandMatrix, path: str | os.PathLike[str]) -> None:
     """Write scenarios to CSV (scenario_id, D_1..D_n) at full precision.
 
     Rows are drawn block by block as they are written, never held whole; at

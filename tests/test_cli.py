@@ -693,6 +693,30 @@ def test_memory_failure_is_one_error_line(sizes):
     assert re.fullmatch(r"error: Unable to allocate 7\.45 GiB [^\n]*\n", done.stderr)
 
 
+# What `python -m transship.cli` runs: the module as __main__, with argv[0]
+# its file. The __main__ guard hands the process to entrypoint(), which exits
+# with main's return value.
+RUN_AS_MAIN = ("import runpy; "
+               "runpy.run_module('transship.cli', run_name='__main__', alter_sys=True)")
+
+
+class TestModuleEntryPoint:
+    def test_solve_prints_its_table(self):
+        done = run_fresh(RUN_AS_MAIN, "solve", *MEAN_ARGS, "--n", "4")
+        assert (done.stdout, done.stderr) == (run_cli(["solve", *MEAN_ARGS, "--n", "4"])[1], "")
+        assert done.stdout.startswith("n ")
+
+    def test_refused_size_is_one_error_line(self):
+        done = run_fresh(RUN_AS_MAIN, "solve", *MEAN_ARGS, "--n", "0", returncode=1)
+        assert (done.stdout, done.stderr) == ("", "error: coalition size n must be >= 1, got 0\n")
+
+    def test_missing_arguments_give_usage(self):
+        done = run_fresh(RUN_AS_MAIN, "solve", returncode=2)
+        assert done.stdout == ""
+        assert done.stderr.startswith("usage: transship solve ")
+        assert "error: the following arguments are required: " in done.stderr
+
+
 # The golden cases: every subcommand in every format, each --help and one
 # validation error per subcommand. Their exact stdout, stderr and exit codes
 # are in cli_golden.json, recorded from the CLI before its subcommands shared

@@ -1,6 +1,6 @@
 """numpy loads only with the first pass that draws or reduces scenarios;
-`solve` loads neither typing nor pathlib, and json loads only with JSON
-output.
+`solve` and the scalar simulation calls load neither typing nor pathlib, and
+json loads only with JSON output.
 
 The test modules import numpy themselves, so what a user's process loads is
 checked in a fresh interpreter.
@@ -123,16 +123,29 @@ for name, argv in [("solve", ["solve", *market, "--n", "5"]),
                    ("json solve", ["solve", *market, "--n", "5", "--format", "json"])]:
     assert transship.cli.main(argv, out=io.StringIO()) == 0, name
     steps[name] = sorted(watched & set(sys.modules))
+# JSON output has loaded json; the simulation steps watch the other two.
+watched.discard("json")
+import transship.simulation as simulation
+steps["import transship.simulation"] = sorted(watched & set(sys.modules))
+from transship.game_model import MarketParams
+params = MarketParams(**{key[2:]: float(value) for key, value in zip(market[::2], market[1::2])})
+simulation.brute_force_optimal(params, 5, 6.0, 2001)
+steps["brute_force_optimal"] = sorted(watched & set(sys.modules))
+simulation.sample_demands(3, 100.0, 20.0, 0.3, 50, 7)
+steps["sample_demands"] = sorted(watched & set(sys.modules))
 print(repr(steps))
 """
 
 
-def test_start_up_loads_no_typing_or_pathlib_and_json_only_for_json_output():
+def test_start_up_and_scalar_simulation_load_no_typing_or_pathlib():
     # Without `site`, which can preload all three, the package, `solve` and a
-    # CSV sweep load none of them; JSON output loads json alone.
+    # CSV sweep load none of them, and JSON output loads json alone. The
+    # simulation module, its grid search and a DemandMatrix, none of which
+    # needs numpy, load neither typing nor pathlib.
     done = run_fresh(START_UP_MODULES, *MARKET, flags=["-S"])
     assert ast.literal_eval(done.stdout) == {
-        "import transship": [], "solve": [], "csv sweep": [], "json solve": ["json"]}
+        "import transship": [], "solve": [], "csv sweep": [], "json solve": ["json"],
+        "import transship.simulation": [], "brute_force_optimal": [], "sample_demands": []}
 
 
 SIMULATION_STEPS = """

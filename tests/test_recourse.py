@@ -448,10 +448,9 @@ class TestCantHappenGuards:
         # 5: the cycle 0 -> 3 -> 1 -> 2 -> 0 gains 8 per unit.
         p = {(0, 2): Fraction(1), (0, 3): Fraction(5), (1, 2): Fraction(5), (1, 3): Fraction(1)}
         flow = {(0, 2): Fraction(1), (1, 3): Fraction(1)}
-        rem_h = {0: Fraction(1), 1: Fraction(0)}
-        rem_e = {2: Fraction(0), 3: Fraction(1)}
+        rem = {0: Fraction(1), 1: Fraction(0), 2: Fraction(0), 3: Fraction(1)}
         with pytest.raises(RuntimeError, match="^negative cycle detected in residual graph$"):
-            recourse._best_augmenting_path([0, 1], [2, 3], p, flow, rem_h, rem_e)
+            recourse._best_augmenting_path([0, 1], [2, 3], p, flow, rem)
 
     def test_augmenting_loop_that_does_not_end(self, monkeypatch):
         # A search that keeps returning the route 0 -> 1 after it is drained.
