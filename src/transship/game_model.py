@@ -111,8 +111,7 @@ def validate_params(params: MarketParams) -> DerivedEconomics:
         raise ParameterError(f"t = {t} >= r - nu = {r - nu}: transshipment can never pay")
     if params.sigma <= 0:
         raise ParameterError(f"sigma = {params.sigma} <= 0")
-    if not -1.0 < params.rho <= 1.0:
-        raise ParameterError(f"rho = {params.rho} outside (-1, 1]")
+    _pool_variance(1, params.rho)  # rho in (-1, 1]
     return _economics(params, t)
 
 
@@ -160,12 +159,17 @@ def _check_size(n) -> None:
 def _pool_variance(n: int, rho: float) -> float:
     """1 + (n-1)*rho, the variance of n equicorrelated unit normals' sum over n.
 
-    Requires an integer n >= 1 no larger than the largest float, a real
-    rho <= 1 that is not nan or -inf, rho > -1 at n = 1, and rho > -1/(n-1)
-    for n >= 2 (positive-definite equicorrelation); each violation raises a
-    one-line ParameterError. Near that bound the sum cancels, so where it
-    rounds below 1/2 it is formed exactly and rounded once, which also makes
-    the bound check exact. The closed forms and the sampler share this rule.
+    The one statement of the (n, rho) domain, shared by validate_params, the
+    closed forms and the sampler. It requires an integer n >= 1 no larger
+    than the largest float, a real rho in (-1, 1], and rho > -1/(n-1) for
+    n >= 2 (positive-definite equicorrelation); each violation raises a
+    one-line ParameterError: `coalition size n must be an integer, got ...`
+    or `... must be >= 1, got ...`, `rho must be a real number, got ...` for
+    a rho that is not a `numbers.Real`, `rho = ... outside (-1, 1]` for any
+    other rho outside it (nan and +-inf among them), and the positive-definite
+    message at the bound. Near that bound the sum cancels, so where it rounds
+    below 1/2 it is formed exactly and rounded once, which also makes the
+    bound check exact.
     """
     if type(n) is not int:
         _check_size(n)
@@ -177,16 +181,15 @@ def _pool_variance(n: int, rho: float) -> float:
     if type(rho) is not float:
         if not _is_real(rho):
             raise ParameterError(f"rho must be a real number, got {rho!r}")
-        rho = float(rho)
-    if not -math.inf < rho <= 1.0:
-        raise ParameterError(f"rho = {rho} > 1" if rho > 1.0 else f"rho must be a real number, got {rho}")
-    if n == 1 and rho <= -1.0:
+        if -1 < rho <= 1:  # so float(rho) cannot overflow; it may round to -1.0
+            rho = float(rho)
+    if not -1.0 < rho <= 1.0:
         raise ParameterError(f"rho = {rho} outside (-1, 1]")
     denom = 1.0 + (n - 1) * rho
     if denom < 0.5:
         num, den = rho.as_integer_ratio()
         denom = (den + (n - 1) * num) / den  # int division rounds correctly
-    if n >= 2 and denom <= 0.0:
+    if denom <= 0.0:
         raise ParameterError(
             f"rho = {rho} <= -1/(n-1) = {-1.0 / (n - 1)}: "
             f"equicorrelation matrix not positive-definite for n = {n}"

@@ -92,21 +92,23 @@ class DemandMatrix:
     """Joint demand scenarios: `count` rows of draws, one column per agent.
 
     The fields are the sampler's arguments (see `sample_demands`, which
-    builds one), checked when the instance is made, rho's lower bound by
-    `pooling_factor`'s rule; so every instance is one `sample_demands` would
-    return, and `dataclasses.replace` checks them again. Nothing is drawn
-    then. The estimators and `dump_scenarios` draw the scenarios block by
-    block, in O(block + count) memory, never the count x n matrix. Reading
-    `scenarios` draws the same blocks into the whole matrix and keeps it,
-    read-only, for the caller; no pass reads it, so every pass gives the
-    same bits, fixed by the recipe. At rho = 1 every agent sees one demand,
-    so a pass draws only that column; `scenarios` and `dump_scenarios`
-    repeat it into the n columns.
+    builds one), checked when the instance is made, n and rho by the rule
+    and with the messages of `pooling_factor`; so every instance is one
+    `sample_demands` would return, and `dataclasses.replace` checks them
+    again. Nothing is drawn then. The estimators and `dump_scenarios` draw
+    the scenarios block by block, in O(block + count) memory, never the
+    count x n matrix. Reading `scenarios` draws the same blocks into the
+    whole matrix and keeps it, read-only, for the caller; no pass reads it,
+    so every pass gives the same bits, fixed by the recipe. At rho = 1 every
+    agent sees one demand, so a pass draws only that column; `scenarios` and
+    `dump_scenarios` repeat it into the n columns.
 
     An instance holds the per-scenario totals of the last x the estimators
     reduced it at, so estimating the profit and the transshipment at one x
-    takes one pass, and a new x takes another. Instances are immutable, and
-    equal only to themselves.
+    takes one pass, and a new x takes another. They are kept in the instance
+    dict, as `scenarios` is, not in a field, so `dataclasses.fields`,
+    `asdict` and `repr` leave them out. Instances are immutable, and equal
+    only to themselves.
     """
 
     n: int
@@ -116,14 +118,10 @@ class DemandMatrix:
     mu: float = field(repr=False)
     sigma: float = field(repr=False)
     rng_algorithm: str = field(default=RNG_ALGORITHM, init=False)
-    # (x.hex(), S_H, S_E) of the last x the estimators reduced the scenarios at.
-    _last_totals: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, mu, sigma, rho = self.n, self.mu, self.sigma, self.rho_target
         count, seed = self.count, self.seed
-        if not _is_integer(n) or n < 1:
-            raise ParameterError(f"n must be an integer >= 1, got {n!r}")
         for name, value in (("mu", mu), ("sigma", sigma), ("rho_target", rho)):
             if not _is_real(value):
                 raise ParameterError(f"{name} must be a real number, got {value!r}")
@@ -134,9 +132,7 @@ class DemandMatrix:
             raise ParameterError(f"sigma = {sigma} <= 0")
         if not _is_integer(count) or count < 1:
             raise ParameterError(f"count must be an integer >= 1, got {count!r}")
-        if not -1.0 < rho <= 1.0:
-            raise ParameterError(f"rho = {rho} outside (-1, 1]")
-        _pool_variance(n, rho)  # rho > -1/(n-1), decided exactly
+        _pool_variance(n, rho)  # the closed forms' rule for n and rho
         if not (_is_integer(seed) and 0 <= seed < 2**128):
             raise ParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
         n, count = int(n), int(count)
@@ -246,8 +242,9 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
     """`count` independent scenarios from the equicorrelated n-variate normal.
 
     Mean mu * 1, covariance sigma^2 * [(1 - rho) I + rho 11^T]; requires
-    integers n >= 1 and count >= 1, finite mu, finite sigma > 0,
-    -1/(n-1) < rho <= 1 (decided exactly, as by pooling_factor), an integer
+    n and rho as pooling_factor does, by the same rule and with the same
+    messages (an integer n >= 1, -1 < rho <= 1 and rho > -1/(n-1), decided
+    exactly), an integer count >= 1, finite mu, finite sigma > 0, an integer
     seed in [0, 2**128) (bools are not integers here), and a count x n that
     numpy can address. Each violation raises a one-line ParameterError from
     this call. Identical (seed, arguments) give bit-identical scenarios.
@@ -313,11 +310,12 @@ def _add_up(excess: np.ndarray, n: int, out: np.ndarray) -> None:
 def _totals(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(S_H, S_E) at x, reduced once per x.
 
-    `samples` holds the totals of the last x it was reduced at, keyed by the
-    exact double (a -0.0 is not a 0.0); its scenarios are fixed by its seed,
-    so the entry cannot go stale. The entry is replaced whole, so concurrent
-    callers at worst repeat a pass. A non-finite x, an n * x that overflows,
-    or totals that are not finite raise ValueError.
+    `samples` holds the totals of the last x it was reduced at, as
+    (x.hex(), S_H, S_E) under `_last_totals` in its instance dict, keyed by
+    the exact double (a -0.0 is not a 0.0); its scenarios are fixed by its
+    seed, so the entry cannot go stale. The entry is replaced whole, so
+    concurrent callers at worst repeat a pass. A non-finite x, an n * x that
+    overflows, or totals that are not finite raise ValueError.
     """
     import numpy as np
     x = float(x)
@@ -326,14 +324,14 @@ def _totals(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
     if not math.isfinite(samples.n * x):
         raise ValueError(f"n * x overflows at quantity x = {x!r}, n = {samples.n}")
     key = x.hex()
-    held = samples._last_totals
+    held = samples.__dict__.get("_last_totals")
     if held is not None and held[0] == key:
         return held[1], held[2]
     surplus, shortage = _surplus_shortage(x, samples)
     if not (np.isfinite(surplus).all() and np.isfinite(shortage).all()):
         raise ValueError(f"surplus or shortage totals are not finite at quantity x = {x!r}")
     surplus.flags.writeable = shortage.flags.writeable = False
-    object.__setattr__(samples, "_last_totals", (key, surplus, shortage))
+    samples.__dict__["_last_totals"] = (key, surplus, shortage)
     return surplus, shortage
 
 

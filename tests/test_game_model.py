@@ -136,7 +136,7 @@ class TestPoolingFactor:
             pooling_factor(5, -0.25)  # -1/(n-1) boundary
         with pytest.raises(ParameterError, match="not positive-definite"):
             pooling_factor(5, -0.3)
-        with pytest.raises(ParameterError, match="> 1"):
+        with pytest.raises(ParameterError, match=r"^rho = 1.01 outside \(-1, 1\]$"):
             pooling_factor(5, 1.01)
         with pytest.raises(ParameterError, match=">= 1"):
             pooling_factor(0, 0.0)
@@ -164,7 +164,9 @@ class TestPoolingFactor:
     def test_rejects_a_correlation_that_is_not_a_real_number(self, rho):
         with pytest.raises(ParameterError) as info:
             pooling_factor(3, rho)
-        assert str(info.value) == f"rho must be a real number, got {rho!r}"
+        # nan is a float, so it is refused as outside (-1, 1], as the sampler does
+        assert str(info.value) == ("rho = nan outside (-1, 1]" if isinstance(rho, float)
+                                   else f"rho must be a real number, got {rho!r}")
 
     @pytest.mark.parametrize("rho", [-1.0, -5.0, math.nextafter(-1.0, -math.inf)])
     def test_single_agent_refuses_rho_at_or_below_minus_one(self, rho):
@@ -183,7 +185,22 @@ class TestPoolingFactor:
         # 1 + (n - 1) rho would be nan at n = 1, and -inf has no exact ratio.
         with pytest.raises(ParameterError) as info:
             pooling_factor(n, -math.inf)
-        assert str(info.value) == "rho must be a real number, got -inf"
+        assert str(info.value) == "rho = -inf outside (-1, 1]"
+
+    @pytest.mark.parametrize("rho", [10**400, -10**400, fractions.Fraction(10**400, 3)])
+    def test_refuses_an_exact_rho_past_the_float_range(self, rho):
+        # compared exactly, not converted to a float, which would overflow
+        with pytest.raises(ParameterError) as info:
+            pooling_factor(3, rho)
+        assert str(info.value) == f"rho = {rho} outside (-1, 1]"
+
+    def test_refuses_an_exact_rho_that_rounds_to_minus_one(self):
+        # -1 + 2**-60 lies inside (-1, 1], but the float it becomes does not
+        rho = fractions.Fraction(1 - 2**60, 2**60)
+        for n in (1, 2, 3):
+            with pytest.raises(ParameterError) as info:
+                pooling_factor(n, rho)
+            assert str(info.value) == "rho = -1.0 outside (-1, 1]"
 
     def test_accepts_numpy_and_exact_numbers(self):
         assert pooling_factor(np.int64(4), np.float64(0.0)) == 2.0
@@ -224,7 +241,9 @@ class TestPoolingFactor:
                 if 1 + (n - 1) * fractions.Fraction(rho) > 0:
                     assert pooling_factor(n, rho) > 0.0
                 else:
-                    with pytest.raises(ParameterError, match="not positive-definite"):
+                    # at n = 2 the bound is -1, which lies outside (-1, 1]
+                    message = "not positive-definite" if rho > -1.0 else r"outside \(-1, 1\]"
+                    with pytest.raises(ParameterError, match=message):
                         pooling_factor(n, rho)
                 rho = math.nextafter(rho, 0.0)
 

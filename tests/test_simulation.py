@@ -159,8 +159,11 @@ class ArgumentChecks:
     def test_rejects_non_integer_sizes(self, name, value):
         kwargs = dict(n=4, mu=100, sigma=20, rho=0.3, count=10, seed=0)
         kwargs[name] = value
-        with pytest.raises(ParameterError, match=f"{name} must be an integer >= 1"):
+        with pytest.raises(ParameterError) as info:
             self.build(**kwargs)
+        assert str(info.value) == (f"coalition size n must be an integer, got {value!r}"
+                                   if name == "n" else
+                                   f"count must be an integer >= 1, got {value!r}")
 
     def test_accepts_numpy_integers_and_the_largest_seed(self):
         expected = sample_demands(7, 100, 20, 0.4, 301, seed=41).scenarios
@@ -225,6 +228,38 @@ class ArgumentChecks:
 def test_entry_limit_is_numpys_array_limit():
     # stated without numpy, so that making an instance does not load it
     assert simulation._MAX_ENTRIES == np.iinfo(np.intp).max // 8
+
+
+def size_and_correlation_edges():
+    """(n, rho) pairs at the edges of the domain of L_n: every size against
+    each out-of-range kind of rho, both ends of (-1, 1], and -1/(n - 1) with
+    one ulp either side where n != 1."""
+    sizes = [1, 2, 3, 5, 200, 0, 2.0, True, 10**400]
+    rhos = [math.nan, math.inf, -math.inf, 1.5, fractions.Fraction(3, 2), 1.0, -1.0, -1.5, 0.3,
+            10**400, fractions.Fraction(-(2**60 - 1), 2**60)]  # the last rounds to -1.0
+    for n in sizes:
+        bounds = []
+        if n != 1:
+            bound = -1 / (n - 1)
+            bounds = [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+        for rho in rhos + bounds:
+            yield n, rho
+
+
+@pytest.mark.parametrize("n,rho", list(size_and_correlation_edges()),
+                         ids=lambda value: "10**400" if value == 10**400 else repr(value))
+def test_sampler_and_pooling_factor_share_one_rule_for_n_and_rho(n, rho):
+    # Both accept, or both refuse with the same one-line ParameterError.
+    outcomes = []
+    for call in (lambda: pooling_factor(n, rho),
+                 lambda: sample_demands(n, 100, 20, rho, 10, seed=0)):
+        try:
+            call()
+            outcomes.append(None)
+        except ParameterError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] is None or "\n" not in outcomes[0]
 
 
 class TestSampleDemands(ArgumentChecks):
@@ -457,7 +492,7 @@ class TestDemandMatrixConstructor(ArgumentChecks):
 
     @pytest.mark.parametrize("field,value,fragment", [
         ("seed", -1, r"seed must be an integer in \[0, 2\*\*128\)"),
-        ("n", 2.0, "n must be an integer >= 1"),
+        ("n", 2.0, r"^coalition size n must be an integer, got 2\.0$"),
         ("rho_target", 1.2, "outside"),
         ("sigma", 0.0, "sigma"),
     ])
@@ -689,6 +724,14 @@ class TestSharedTotals:
         estimate_transshipment(100.0, samples)
         surplus, shortage = simulation._totals(100.0, samples)
         assert not surplus.flags.writeable and not shortage.flags.writeable
+
+    def test_held_totals_are_no_dataclass_field(self):
+        samples = self.fresh()
+        estimate_transshipment(100.0, samples)
+        assert "_last_totals" in vars(samples)
+        assert [f.name for f in dataclasses.fields(samples)] == [
+            "n", "count", "seed", "rho_target", "mu", "sigma", "rng_algorithm"]
+        assert "_last_totals" not in dataclasses.asdict(samples)
 
     def test_repr_and_fields_leave_out_the_held_totals(self):
         samples = self.fresh()
@@ -1095,6 +1138,14 @@ class TestBruteForceOptimal:
         x_best, j_best = brute_force_optimal(params, 4, 8.0, 101)
         assert math.isfinite(j_best)
         assert j_best == pytest.approx(expected_profit(x_best, 4, params), rel=1e-12)
+
+    def test_rejects_a_grid_whose_every_profit_is_minus_infinity(self):
+        # n * g * x overflows to -inf at every point, so no point is a finite
+        # maximum; the first maximum, point 0, is named.
+        params = MarketParams(r=10, c=6, nu=2, t=1, mu=-1e5, sigma=20, rho=0)
+        with pytest.raises(ValueError) as info:
+            brute_force_optimal(params, 10**306, 6.0, 101)
+        assert str(info.value) == "expected profit is -inf at x = -100120.0"
 
     def test_rejects_non_finite_profit(self):
         # mu + sigma * w overflows at the grid's ends, so J_n is nan there
