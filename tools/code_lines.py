@@ -7,9 +7,9 @@ and a statement that spans several physical lines counts each of them. The
 count does not depend on formatting inside a string or on comment density,
 so it compares the size of two versions of the code.
 
-    python tools/code_lines.py [DIRECTORY]
+    python tools/code_lines.py
 
-prints each module's count and the total, for `src/transship` by default.
+prints the count of each module in `src/transship` and their total.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    default = Path(__file__).resolve().parent.parent / "src" / "transship"
-    root = Path(argv[1]) if len(argv) > 1 else default
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "transship"
     total = 0
     for path in sorted(root.glob("*.py")):
         count = code_lines(path)
@@ -52,4 +51,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
