@@ -15,7 +15,9 @@ from .recourse import *
 # The Monte Carlo sampler, the estimators and the grid oracle live in
 # `simulation`, imported on first use of any of these names (PEP 562). numpy
 # loads with its first pass that draws or reduces scenarios, not with the
-# module, so the solver and the grid oracle run without numpy.
+# module, so the solver and the grid oracle run without numpy. This set is the
+# one list of those names, since the package serves them before `simulation`
+# loads; `simulation.__all__` is made from it.
 _SIMULATION_NAMES = frozenset({
     "DemandMatrix",
     "McEstimate",

@@ -282,14 +282,14 @@ def _within_float_range(value: float, what: str) -> float:
 def expected_profit(x: float, n: int, params: MarketParams) -> float:
     """Coalition expected profit J_n(x) for an arbitrary common quantity x.
 
-    A non-finite x raises ValueError, and a profit past the float range a
-    ParameterError.
+    A non-finite x raises ValueError, and a finite x at which (x - mu) / sigma
+    or the profit is past the float range a ParameterError.
     """
     econ = validate_params(params)
     L = pooling_factor(n, params.rho)
-    y = (x - params.mu) / params.sigma
-    if not math.isfinite(y):
+    if not math.isfinite(x):
         raise ValueError(f"quantity x must be finite, got {x!r}")
+    y = _within_float_range((x - params.mu) / params.sigma, f"(x - mu) / sigma at x = {x!r}")
     profit = _profit_at(y, n, L, econ, params.mu, params.sigma, params.t)
     return _within_float_range(profit, f"the expected profit at x = {x!r}, n = {n:.6g}")
 

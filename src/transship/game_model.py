@@ -94,13 +94,16 @@ class FeasibilityReport:
 def validate_params(params: MarketParams) -> DerivedEconomics:
     """Check every model inequality and return the derived economics.
 
-    Raises ParameterError with a distinct message per violated inequality.
+    r, c, nu and t must be finite, with nu < c < r and 0 <= t < r - nu,
+    checked in that order; then mu, sigma and rho are checked by the demand
+    law's one rule, `_check_demand`, for a single agent. Raises
+    ParameterError with a distinct message per violated inequality, the
+    first one found.
     """
-    for name in PARAM_KEYS:
-        value = getattr(params, name)
+    r, c, nu, t = params.r, params.c, params.nu, params.t
+    for name, value in (("r", r), ("c", c), ("nu", nu), ("t", t)):
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value!r}")
-    r, c, nu, t = params.r, params.c, params.nu, params.t
     if nu >= c:
         raise ParameterError(f"nu = {nu} >= c = {c} violates nu < c < r")
     if c >= r:
@@ -109,9 +112,7 @@ def validate_params(params: MarketParams) -> DerivedEconomics:
         raise ParameterError(f"t = {t} < 0: transport cost cannot be negative")
     if t >= r - nu:
         raise ParameterError(f"t = {t} >= r - nu = {r - nu}: transshipment can never pay")
-    if params.sigma <= 0:
-        raise ParameterError(f"sigma = {params.sigma} <= 0")
-    _pool_variance(1, params.rho)  # rho in (-1, 1]
+    _check_demand(1, params.mu, params.sigma, params.rho)
     return _economics(params, t)
 
 
@@ -156,26 +157,37 @@ def _check_size(n) -> None:
         raise ParameterError(f"coalition size n must be an integer, got {n!r}")
 
 
+def _shown(number) -> str:
+    """str(number), or for an exact number with more digits than Python will
+    convert to a string (4,300 by default), its value to 7 figures."""
+    try:
+        return str(number)
+    except ValueError:
+        from decimal import Decimal
+        return f"{Decimal(number.numerator) / number.denominator:.6e}"
+
+
 def _pool_variance(n: int, rho: float) -> float:
     """1 + (n-1)*rho, the variance of n equicorrelated unit normals' sum over n.
 
-    The one statement of the (n, rho) domain, shared by validate_params, the
-    closed forms and the sampler. It requires an integer n >= 1 no larger
-    than the largest float, a real rho in (-1, 1], and rho > -1/(n-1) for
-    n >= 2 (positive-definite equicorrelation); each violation raises a
-    one-line ParameterError: `coalition size n must be an integer, got ...`
-    or `... must be >= 1, got ...`, `rho must be a real number, got ...` for
-    a rho that is not a `numbers.Real`, `rho = ... outside (-1, 1]` for any
-    other rho outside it (nan and +-inf among them), and the positive-definite
-    message at the bound. Near that bound the sum cancels, so where it rounds
-    below 1/2 it is formed exactly and rounded once, which also makes the
-    bound check exact.
+    The one statement of the (n, rho) domain, shared by the closed forms and,
+    through `_check_demand`, by validate_params and the sampler. It requires
+    an integer n >= 1 no larger than the largest float, a real rho in
+    (-1, 1], and rho > -1/(n-1) for n >= 2 (positive-definite
+    equicorrelation); each violation raises a one-line ParameterError:
+    `coalition size n must be an integer, got ...` or `... must be >= 1,
+    got ...`, `rho must be a real number, got ...` for a rho that is not a
+    `numbers.Real`, `rho = ... outside (-1, 1]` for any other rho outside it
+    (nan and +-inf among them), and the positive-definite message at the
+    bound. An exact n or rho too long for str is shown by `_shown`. Near the
+    bound the sum cancels, so where it rounds below 1/2 it is formed exactly
+    and rounded once, which also makes the bound check exact.
     """
     if type(n) is not int:
         _check_size(n)
         n = int(n)
     if n < 1:
-        raise ParameterError(f"coalition size n must be >= 1, got {n}")
+        raise ParameterError(f"coalition size n must be >= 1, got {_shown(n)}")
     if n > sys.float_info.max:  # n - 1 and n / denom would overflow
         raise ParameterError(f"coalition size n exceeds the float range (> {sys.float_info.max!r})")
     if type(rho) is not float:
@@ -184,7 +196,7 @@ def _pool_variance(n: int, rho: float) -> float:
         if -1 < rho <= 1:  # so float(rho) cannot overflow; it may round to -1.0
             rho = float(rho)
     if not -1.0 < rho <= 1.0:
-        raise ParameterError(f"rho = {rho} outside (-1, 1]")
+        raise ParameterError(f"rho = {_shown(rho)} outside (-1, 1]")
     denom = 1.0 + (n - 1) * rho
     if denom < 0.5:
         num, den = rho.as_integer_ratio()
@@ -195,6 +207,26 @@ def _pool_variance(n: int, rho: float) -> float:
             f"equicorrelation matrix not positive-definite for n = {n}"
         )
     return denom
+
+
+def _check_demand(n: int, mu: float, sigma: float, rho: float) -> None:
+    """The one rule of the demand law N(mu, sigma^2) with correlation rho
+    among n agents, shared by validate_params (at n = 1) and the sampler.
+
+    mu and sigma must be real (a float is) and finite, and sigma > 0; then
+    `_pool_variance(n, rho)` decides n and rho. Each violation raises a
+    one-line ParameterError, the first one found: `mu must be a real number,
+    got ...`, `mu must be finite, got ...`, the same two for sigma,
+    `sigma = ... <= 0`, or one of `_pool_variance`'s.
+    """
+    for name, value in (("mu", mu), ("sigma", sigma)):
+        if type(value) is not float and not _is_real(value):
+            raise ParameterError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+    if sigma <= 0:
+        raise ParameterError(f"sigma = {sigma} <= 0")
+    _pool_variance(n, rho)
 
 
 def pooling_factor(n: int, rho: float) -> float:

@@ -19,12 +19,13 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import _SIMULATION_NAMES
 from .analytic_solver import _profit_at
 from .game_model import (
     MarketParams,
     ParameterError,
+    _check_demand,
     _is_integer,
-    _is_real,
     _pool_variance,
     pooling_factor,
     validate_params,
@@ -34,16 +35,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "RNG_ALGORITHM",
-    "DemandMatrix",
-    "McEstimate",
-    "sample_demands",
-    "estimate_profit",
-    "estimate_transshipment",
-    "brute_force_optimal",
-    "dump_scenarios",
-]
+__all__ = sorted(_SIMULATION_NAMES)  # the package lists them, to serve them lazily
 
 # Counter-based generator: reproducible across runs and machines for a fixed
 # seed, and recorded in every DemandMatrix for auditability.
@@ -92,16 +84,18 @@ class DemandMatrix:
     """Joint demand scenarios: `count` rows of draws, one column per agent.
 
     The fields are the sampler's arguments (see `sample_demands`, which
-    builds one), checked when the instance is made, n and rho by the rule
-    and with the messages of `pooling_factor`; so every instance is one
-    `sample_demands` would return, and `dataclasses.replace` checks them
-    again. Nothing is drawn then. The estimators and `dump_scenarios` draw
-    the scenarios block by block, in O(block + count) memory, never the
-    count x n matrix. Reading `scenarios` draws the same blocks into the
-    whole matrix and keeps it, read-only, for the caller; no pass reads it,
-    so every pass gives the same bits, fixed by the recipe. At rho = 1 every
-    agent sees one demand, so a pass draws only that column; `scenarios` and
-    `dump_scenarios` repeat it into the n columns.
+    builds one), checked when the instance is made: n, mu, sigma and
+    rho_target by `game_model._check_demand`, the demand law's one rule and
+    messages, which validate_params and `pooling_factor` share, then count,
+    seed and the size. So every instance is one `sample_demands` would
+    return, and `dataclasses.replace` checks them again. Nothing is drawn
+    then. The estimators and `dump_scenarios` draw the scenarios block by
+    block, in O(block + count) memory, never the count x n matrix. Reading
+    `scenarios` draws the same blocks into the whole matrix and keeps it,
+    read-only, for the caller; no pass reads it, so every pass gives the
+    same bits, fixed by the recipe. At rho = 1 every agent sees one demand,
+    so a pass draws only that column; `scenarios` and `dump_scenarios`
+    repeat it into the n columns.
 
     An instance holds the per-scenario totals of the last x the estimators
     reduced it at, so estimating the profit and the transshipment at one x
@@ -120,19 +114,10 @@ class DemandMatrix:
     rng_algorithm: str = field(default=RNG_ALGORITHM, init=False)
 
     def __post_init__(self) -> None:
-        n, mu, sigma, rho = self.n, self.mu, self.sigma, self.rho_target
-        count, seed = self.count, self.seed
-        for name, value in (("mu", mu), ("sigma", sigma), ("rho_target", rho)):
-            if not _is_real(value):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
-        for name, value in (("mu", mu), ("sigma", sigma)):
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-        if sigma <= 0:
-            raise ParameterError(f"sigma = {sigma} <= 0")
+        n, count, seed, rho = self.n, self.count, self.seed, self.rho_target
+        _check_demand(n, self.mu, self.sigma, rho)  # validate_params' rule, at n agents
         if not _is_integer(count) or count < 1:
             raise ParameterError(f"count must be an integer >= 1, got {count!r}")
-        _pool_variance(n, rho)  # the closed forms' rule for n and rho
         if not (_is_integer(seed) and 0 <= seed < 2**128):
             raise ParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
         n, count = int(n), int(count)
@@ -140,8 +125,8 @@ class DemandMatrix:
             raise ParameterError(f"count * n = {count * n} entries exceed the largest "
                                  f"array numpy can hold ({_MAX_ENTRIES})")
         # numpy integers are recorded as int, and every real number as a float
-        for name, value in (("n", n), ("count", count), ("seed", int(seed)), ("mu", float(mu)),
-                            ("sigma", float(sigma)), ("rho_target", float(rho))):
+        for name, value in (("n", n), ("count", count), ("seed", int(seed)), ("mu", float(self.mu)),
+                            ("sigma", float(self.sigma)), ("rho_target", float(rho))):
             object.__setattr__(self, name, value)
 
     @property
@@ -195,11 +180,8 @@ class DemandMatrix:
                     shift /= k
                     shift *= weight
                     shift += mu
-                    block *= scale
-                    block += shift[:, np.newaxis]
-                else:
-                    block *= scale
-                    block += mu
+                block *= scale
+                block += shift[:, np.newaxis] if factor else mu
             yield lo, block
 
     def _finite(self, lo: int, block: np.ndarray) -> np.ndarray:
@@ -242,12 +224,14 @@ def sample_demands(n: int, mu: float, sigma: float, rho: float,
     """`count` independent scenarios from the equicorrelated n-variate normal.
 
     Mean mu * 1, covariance sigma^2 * [(1 - rho) I + rho 11^T]; requires
-    n and rho as pooling_factor does, by the same rule and with the same
-    messages (an integer n >= 1, -1 < rho <= 1 and rho > -1/(n-1), decided
-    exactly), an integer count >= 1, finite mu, finite sigma > 0, an integer
-    seed in [0, 2**128) (bools are not integers here), and a count x n that
-    numpy can address. Each violation raises a one-line ParameterError from
-    this call. Identical (seed, arguments) give bit-identical scenarios.
+    n, mu, sigma and rho by the demand law's one rule, with the messages of
+    validate_params and pooling_factor (real and finite mu and sigma,
+    sigma > 0, an integer n >= 1, -1 < rho <= 1 and rho > -1/(n-1), decided
+    exactly, in that order), then an integer count >= 1, an integer seed in
+    [0, 2**128) (bools are not integers here), and a count x n that numpy
+    can address. Each violation raises a one-line ParameterError from this
+    call, the first one found. Identical (seed, arguments) give
+    bit-identical scenarios.
 
     Uses the one-factor representation of the equicorrelated normal (Tong,
     The Multivariate Normal Distribution, 1990, section 8.2): with Z the

@@ -238,9 +238,19 @@ class TestExpectedProfit:
             oracle = n * econ.g * x - n * params.t * demand_tail - econ.p * pooled_tail
             assert expected_profit(x, n, params) == pytest.approx(oracle, rel=1e-6)
 
-    def test_rejects_non_finite_quantity(self):
-        with pytest.raises(ValueError):
-            expected_profit(math.nan, 1, MEAN_GAME)
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_quantity(self, x):
+        with pytest.raises(ValueError) as info:
+            expected_profit(x, 1, MEAN_GAME)
+        assert str(info.value) == f"quantity x must be finite, got {x!r}"
+
+    def test_names_a_standardized_quantity_that_overflows(self):
+        # x is finite, but (x - mu) / sigma is not at this tiny sigma
+        market = MarketParams(r=10, c=6, nu=2, t=1, mu=100, sigma=1e-300, rho=0)
+        with pytest.raises(ParameterError) as info:
+            expected_profit(1e10, 3, market)
+        assert str(info.value) == ("(x - mu) / sigma at x = 10000000000.0 "
+                                   "overflows the float range: inf")
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_rejects_empty_coalition(self, n):

@@ -454,6 +454,14 @@ class TestSimulate:
             "x_opt = 0.0, profit = -inf, transshipment = 7.978845608028655e+307\n")
         assert not path.exists()
 
+    def test_quantity_whose_standard_score_overflows_exits_with_one_line(self, capsys):
+        code, text = run_cli(["simulate", "--r", "10", "--c", "6", "--nu", "2", "--t", "1",
+                              "--mu", "100", "--sigma", "1e-300", "--rho", "0", "--n", "3",
+                              "--count", "100", "--x", "1e10"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == ("error: (x - mu) / sigma at x = 10000000000.0 "
+                                           "overflows the float range: inf\n")
+
 
 class TestCoreCheck:
     def test_matches_library(self):

@@ -181,10 +181,9 @@ class ArgumentChecks:
     def test_rejects_a_mean_spread_or_correlation_that_is_not_a_real_number(self, name, value):
         kwargs = dict(n=4, mu=100, sigma=20, rho=0.3, count=10, seed=0)
         kwargs[name] = value
-        field = "rho_target" if name == "rho" else name
         with pytest.raises(ParameterError) as info:
             self.build(**kwargs)
-        assert str(info.value) == f"{field} must be a real number, got {value!r}"
+        assert str(info.value) == f"{name} must be a real number, got {value!r}"
 
     def test_records_every_real_number_as_a_float(self):
         expected = sample_demands(3, 100.0, 20.0, 0.25, 50, seed=5)
@@ -230,13 +229,23 @@ def test_entry_limit_is_numpys_array_limit():
     assert simulation._MAX_ENTRIES == np.iinfo(np.intp).max // 8
 
 
+def refusal(call):
+    """The text of the ParameterError that `call()` raises, or None if it returns."""
+    try:
+        call()
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
 def size_and_correlation_edges():
     """(n, rho) pairs at the edges of the domain of L_n: every size against
-    each out-of-range kind of rho, both ends of (-1, 1], and -1/(n - 1) with
-    one ulp either side where n != 1."""
+    each out-of-range kind of rho, rhos that are not real numbers, both ends
+    of (-1, 1], and -1/(n - 1) with one ulp either side where n != 1."""
     sizes = [1, 2, 3, 5, 200, 0, 2.0, True, 10**400]
     rhos = [math.nan, math.inf, -math.inf, 1.5, fractions.Fraction(3, 2), 1.0, -1.0, -1.5, 0.3,
-            10**400, fractions.Fraction(-(2**60 - 1), 2**60)]  # the last rounds to -1.0
+            10**400, fractions.Fraction(-(2**60 - 1), 2**60),  # this one rounds to -1.0
+            "0.3", None, True, 1j, decimal.Decimal("0.3")]
     for n in sizes:
         bounds = []
         if n != 1:
@@ -250,16 +259,49 @@ def size_and_correlation_edges():
                          ids=lambda value: "10**400" if value == 10**400 else repr(value))
 def test_sampler_and_pooling_factor_share_one_rule_for_n_and_rho(n, rho):
     # Both accept, or both refuse with the same one-line ParameterError.
-    outcomes = []
-    for call in (lambda: pooling_factor(n, rho),
-                 lambda: sample_demands(n, 100, 20, rho, 10, seed=0)):
-        try:
-            call()
-            outcomes.append(None)
-        except ParameterError as exc:
-            outcomes.append(str(exc))
+    outcomes = [refusal(lambda: pooling_factor(n, rho)),
+                refusal(lambda: sample_demands(n, 100, 20, rho, 10, seed=0))]
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] is None or "\n" not in outcomes[0]
+
+
+@pytest.mark.parametrize("rho", list(dict.fromkeys(
+    rho for _, rho in size_and_correlation_edges() if type(rho) is float)), ids=repr)
+def test_validate_params_and_pooling_factor_share_one_rule_for_rho(rho):
+    # validate_params checks rho for a single agent: nan and +-inf included
+    market = MarketParams(10, 6, 2, 1, 100, 20, rho)
+    assert refusal(lambda: validate_params(market)) == refusal(lambda: pooling_factor(1, rho))
+
+
+@pytest.mark.parametrize("name", ["mu", "sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_sampler_and_validate_params_share_one_rule_for_mu_and_sigma(name, value):
+    demand = {"mu": 100.0, "sigma": 20.0, name: value}
+    market = MarketParams(10, 6, 2, 1, rho=0.3, **demand)
+    outcomes = [refusal(lambda: validate_params(market)),
+                refusal(lambda: sample_demands(4, rho=0.3, count=10, seed=0, **demand))]
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == (name == "mu" and math.isfinite(value))
+
+
+@pytest.mark.parametrize("n,rho,shown", [
+    (3, 10**5000, "rho = 1.000000e+5000 outside (-1, 1]"),
+    (3, -10**5000, "rho = -1.000000e+5000 outside (-1, 1]"),
+    (3, fractions.Fraction(10**5000, 3), "rho = 3.333333e+4999 outside (-1, 1]"),
+    (-10**5000, 0.3, "coalition size n must be >= 1, got -1.000000e+5000"),
+], ids=["1e5000", "-1e5000", "1e5000/3", "n=-1e5000"])
+def test_an_exact_number_too_long_to_print_is_shown_to_seven_figures(n, rho, shown):
+    # str() refuses an int of more than 4,300 digits; the message stays one line
+    assert refusal(lambda: pooling_factor(n, rho)) == shown
+    assert refusal(lambda: sample_demands(n, 100, 20, rho, 10, seed=0)) == shown
+
+
+def test_an_input_with_two_faults_is_refused_for_the_first_in_rule_order():
+    # r, c, nu and t come before the demand law, and n before count
+    with pytest.raises(ParameterError, match=r"^c = 12\.0 >= r = 10\.0 violates nu < c < r$"):
+        validate_params(MarketParams(10, 12, 2, 1, math.inf, 20, 0))
+    with pytest.raises(ParameterError, match="^coalition size n must be an integer, got 2.0$"):
+        sample_demands(2.0, 100, 20, 0.3, 0, seed=0)
 
 
 class TestSampleDemands(ArgumentChecks):
