@@ -50,6 +50,37 @@ class TestCoreCheck:
         assert report.worst_margin == 0.0
         assert report.witness_m == 1
 
+    @pytest.mark.parametrize("rho,witness,margin", [
+        (0.0, 59, "0x0.0p+0"),
+        (0.3, 59, "0x1.5a750fdbb0000p-13"),
+        (-0.01, 24, "-0x1.0000000000000p-49"),
+    ])
+    def test_witness_and_worst_margin_keep_their_bits(self, rho, witness, margin):
+        params = MarketParams(r=10, c=9.9, nu=2, t=1.5, mu=100, sigma=20, rho=rho)
+        report = check_equal_allocation_core(params, 60)
+        assert report.witness_m == witness
+        assert report.worst_margin.hex() == margin
+        single = check_equal_allocation_core(params, 1)
+        assert (single.witness_m, single.worst_margin) == (1, 0.0)
+
+    def test_witness_is_the_first_least_margin(self):
+        def first_least_margin(beta):
+            # The scan the witness is defined by: the least margin, at its first size.
+            margins = [beta[-1] - b for b in beta[:-1]]
+            if not margins:
+                return 0.0, 1
+            worst = min(margins)
+            return worst, margins.index(worst) + 1
+
+        rng = np.random.default_rng(37)
+        for params in edge_markets(rng, 30) + [random_market_params(rng, rho_range=(-0.02, 1.0))
+                                                for _ in range(20)]:
+            for n in (1, 2, 3, 7, 30):
+                report = check_equal_allocation_core(params, n)
+                worst, witness = first_least_margin(report.beta)
+                assert report.witness_m == witness
+                assert report.worst_margin.hex() == worst.hex()
+
     def test_perfect_correlation_flat_allocations(self):
         params = MarketParams(r=10, c=6, nu=2, t=2, mu=100, sigma=20, rho=1.0)
         report = check_equal_allocation_core(params, 6)

@@ -377,6 +377,16 @@ class TestNorthwestMatchesPathSearch:
                 if v <= 0.0:
                     assert plan.augmentations == 0 and plan.objective == 0.0
 
+    def test_a_block_of_both_signed_zeros_ships_nothing(self, path_search):
+        # 0.0 == -0.0, so the block is one value, v <= 0, and no route ships.
+        ss = SurplusShortage((2.0, 0.0, 1.0, 0.0), (0.0, 1.5, 0.0, 2.0))
+        for first, other in ((0.0, -0.0), (-0.0, 0.0)):
+            profit = [[first if (i, j) == (0, 1) else other for j in range(4)] for i in range(4)]
+            plan = self.check(path_search, ss, profit)
+            assert plan.shipments == ((0.0,) * 4,) * 4
+            assert math.copysign(1.0, plan.objective) == 1.0 and plan.objective == 0.0
+            assert plan.augmentations == 0
+
     def test_diagonal_differs(self, path_search):
         # Off the block, the diagonal holds other values; they never ship.
         ss = SurplusShortage((2.0, 0.0, 1.0, 0.0), (0.0, 1.5, 0.0, 2.0))
