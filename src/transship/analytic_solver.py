@@ -229,25 +229,24 @@ def _solve_sizes(params: MarketParams, first: int, last: int,
     that both bounds are integers, the market at the first t, the size cap, the
     rho domain at the largest size, Phi^-1(R) and the market at the last t (the
     valid t form an interval). A result that overflows the float range raises
-    when it is drawn. Each result's n is a Python int.
+    when it is drawn. The bounds are the Python ints `_check_size` returns,
+    so the range, the count and each result's n are Python ints.
     """
-    _check_size(first)
-    _check_size(last)
-    sizes = range(first, last + 1)
+    first, last = _check_size(first), _check_size(last)
     econ = validate_params(params if ts is None else replace(params, t=ts[0]))
-    count = sizes.stop - sizes.start  # len() overflows past 2**63 sizes
+    count = last + 1 - first  # len(range) overflows past 2**63 sizes
     if count > _MAX_SIZES:
         raise ParameterError(f"{count} coalition sizes requested; at most {_MAX_SIZES} per call")
-    pooling_factor(sizes.stop - 1, params.rho)  # n >= 1, rho > -1/(n-1): fail before any solve
+    pooling_factor(last, params.rho)  # n >= 1, rho > -1/(n-1): fail before any solve
     q = _fractile_quantile(econ)
     if ts is None:
-        return (_build_result(n, q, econ, params) for n in sizes)
+        return (_build_result(n, q, econ, params) for n in range(first, last + 1))
     try:
         validate_params(replace(params, t=ts[-1]))
     except ParameterError:
         for t in ts:  # name the first t out of range; at the latest ts[-1] raises
             validate_params(replace(params, t=t))
-    return (_build_result(sizes.start, q, _economics(params, t), params) for t in ts)
+    return (_build_result(first, q, _economics(params, t), params) for t in ts)
 
 
 def solve_optimal_quantity(n: int, params: MarketParams) -> SolveResult:

@@ -44,19 +44,18 @@ def check_equal_allocation_core(params: MarketParams, n: int,
 
     beta_m = profit_m / m for m = 1..n comes from the same code path as the
     characteristic values, so beta_n * n equals the grand coalition profit
-    exactly. The check accepts worst_margin >= -tolerance * scale with
-    scale = max(1, max |beta_m|).
+    exactly. worst_margin is the least beta_n - beta_m over m < n and
+    witness_m its smallest such m, so a tie goes to the smaller coalition;
+    at n = 1 they are 0.0 and 1. The check accepts worst_margin >=
+    -tolerance * scale with scale = max(1, max |beta_m|).
     """
     if not tolerance >= 0:  # also rejects nan, which would fail every margin
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     beta = [res.allocation for res in _solve_sizes(params, 1, n)]
-    # Margin over proper sub-coalition sizes; a single agent has nothing to block.
-    margins = [beta[-1] - b for b in beta[:-1]]
-    if margins:
-        worst_margin = min(margins)
-        witness = margins.index(worst_margin) + 1
-    else:
-        worst_margin, witness = 0.0, 1
+    # The least margin over proper sizes m, at the smaller m on a tie; a single
+    # agent has nothing to block.
+    worst_margin, witness = min(((beta[-1] - b, m) for m, b in enumerate(beta[:-1], 1)),
+                                default=(0.0, 1))
     scale = max(1.0, max(abs(b) for b in beta))
     return CoreReport(
         n=n,

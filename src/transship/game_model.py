@@ -150,11 +150,14 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_size(n) -> None:
-    """A one-line ParameterError unless the coalition size n is an integer
-    (bools are not)."""
+def _check_size(n) -> int:
+    """The coalition size n as a Python int, or a one-line ParameterError
+    unless it is an integer (bools are not). The one conversion of a size:
+    a numpy integer is a Python int from here on, so no sum with it wraps.
+    """
     if not _is_integer(n):
         raise ParameterError(f"coalition size n must be an integer, got {n!r}")
+    return int(n)
 
 
 def _shown(number) -> str:
@@ -184,8 +187,7 @@ def _pool_variance(n: int, rho: float) -> float:
     and rounded once, which also makes the bound check exact.
     """
     if type(n) is not int:
-        _check_size(n)
-        n = int(n)
+        n = _check_size(n)
     if n < 1:
         raise ParameterError(f"coalition size n must be >= 1, got {_shown(n)}")
     if n > sys.float_info.max:  # n - 1 and n / denom would overflow
@@ -267,7 +269,7 @@ def params_from_mapping(mapping: Mapping[str, float]) -> MarketParams:
     missing = [k for k in PARAM_KEYS if k not in mapping]
     if missing:
         raise ParameterError(f"missing parameter(s): {', '.join(missing)}")
-    return MarketParams(**{k: float(mapping[k]) for k in PARAM_KEYS})
+    return MarketParams(**mapping)  # which converts each value to a float
 
 
 def _read_config(path: str | os.PathLike[str]) -> dict[str, float]:

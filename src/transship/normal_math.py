@@ -50,8 +50,9 @@ def std_inv_cdf(p: float) -> float:
     accuracy near p = 1/2, with no refinement step.
     """
     p = float(p)
-    # NormalDist.inv_cdf rejects 0 and 1 but returns nan for nan.
-    if math.isnan(p) or not 0.0 < p < 1.0:
+    # NormalDist.inv_cdf rejects 0 and 1 but returns nan for nan; every
+    # comparison with nan is false, so this refuses all three.
+    if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
     return _STD_NORMAL.inv_cdf(p)
 

@@ -182,8 +182,9 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
     builder fills them and returns the exact profit of what it shipped and
     its step count; the plan is assembled here once, each shipment its flow
     rounded on its own and the objective rounded once.
-    When the profit is one value v on all of S x T, the builder is the
-    northwest-corner rule (`_northwest_flows`); otherwise successive
+    When the profit is one value v on all of S x T (equal by ==, so 0.0 and
+    -0.0 are one value), the builder is the northwest-corner rule
+    (`_northwest_flows`, the one reader of v); otherwise successive
     most-profitable augmenting paths (`_augmenting_path_flows`). Both give
     the same plan, bit for bit, on a constant block:
     - Every alternating path on the block has gain v, so with v <= 0 no
@@ -211,9 +212,9 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
     rem = {i: Fraction(ss.surplus[i]) for i in rows}
     rem.update((j, Fraction(ss.shortage[j])) for j in cols)
     flow: dict[tuple[int, int], Fraction] = {}
-    # An empty block is constant too, and ships nothing.
-    v = profit[rows[0]][cols[0]] if rows and cols else 0.0
-    constant = all(profit[i][j] == v for i in rows for j in cols)
+    # One value on the block, by ==, so 0.0 and -0.0 are one; an empty block
+    # holds none and ships nothing.
+    constant = len({profit[i][j] for i in rows for j in cols}) < 2
     build = _northwest_flows if constant else _augmenting_path_flows
     objective, steps = build(rows, cols, profit, rem, flow)
 
@@ -291,7 +292,8 @@ def _best_augmenting_path(rows, cols, p, flow, rem):
     flow from row i is taken back, which only an arc with flow > 0 allows.
     Returns (gain, path), where path lists the agents visited,
     [i0, j0, ..., ik, jk], and gain = -dist[jk] is its exact profit; jk is
-    the first column with spare shortage and the least distance. Returns
+    the column with spare shortage at the least distance, the first by
+    index among equals (`min` keeps the first of equal keys). Returns
     None when no path with strictly positive profit remains. Successive
     shortest-path augmentation keeps the residual graph free of negative
     cycles.
@@ -321,10 +323,8 @@ def _best_augmenting_path(rows, cols, p, flow, rem):
     else:
         raise RuntimeError("negative cycle detected in residual graph")
 
-    end = None
-    for j in cols:
-        if rem[j] and dist[j] is not None and (end is None or dist[j] < dist[end]):
-            end = j
+    end = min((j for j in cols if rem[j] and dist[j] is not None), key=dist.__getitem__,
+              default=None)
     if end is None or dist[end] >= 0:
         return None
 
