@@ -593,6 +593,22 @@ class TestSizeType:
     def test_accepts_numpy_integers(self, entry):
         assert self.ENTRY_POINTS[entry](np.int64(3)) == self.ENTRY_POINTS[entry](3)
 
+    @pytest.mark.parametrize("entry", ["solve_optimal_quantity", "equal_allocation"])
+    def test_solves_the_largest_numpy_size_as_its_python_int(self, entry):
+        # A numpy bound plus one would wrap; the solve loop counts in Python ints.
+        largest = 2**63 - 1
+        assert self.ENTRY_POINTS[entry](np.int64(largest)) == self.ENTRY_POINTS[entry](largest)
+
+    @pytest.mark.parametrize("n", [np.int32(2**31 - 1), np.int64(2**63 - 1),
+                                   np.uint64(2**64 - 1)], ids=repr)
+    @pytest.mark.parametrize("entry", ["quantity_sequence", "characteristic_values",
+                                       "check_equal_allocation_core"])
+    def test_counts_the_sizes_to_the_largest_numpy_size_as_its_python_int(self, entry, n):
+        with pytest.raises(ParameterError) as info:
+            self.ENTRY_POINTS[entry](n)
+        assert str(info.value) == (f"{int(n)} coalition sizes requested; at most "
+                                   f"{analytic_solver._MAX_SIZES} per call")
+
 
 @pytest.mark.parametrize("ts", [None, [1.0, 2.0]], ids=["sizes", "transport-costs"])
 def test_solved_size_is_a_python_int(ts):
