@@ -160,14 +160,18 @@ def _check_size(n) -> int:
     return int(n)
 
 
-def _shown(number) -> str:
-    """str(number), or for an exact number with more digits than Python will
-    convert to a string (4,300 by default), its value to 7 figures."""
+def _shown(value) -> str:
+    """A value as an error message shows it: repr for what is not a
+    `numbers.Number` (so a string keeps its quotes), str for a number, and
+    for an exact number with more digits than Python will convert to a
+    string (4,300 by default), its value to 7 figures."""
+    if not isinstance(value, numbers.Number):
+        return repr(value)
     try:
-        return str(number)
+        return str(value)
     except ValueError:
         from decimal import Decimal
-        return f"{Decimal(number.numerator) / number.denominator:.6e}"
+        return f"{Decimal(value.numerator) / value.denominator:.6e}"
 
 
 def _pool_variance(n: int, rho: float) -> float:

@@ -25,8 +25,10 @@ from .game_model import (
     MarketParams,
     ParameterError,
     _check_demand,
+    _check_size,
     _is_integer,
     _pool_variance,
+    _shown,
     pooling_factor,
     validate_params,
 )
@@ -117,12 +119,12 @@ class DemandMatrix:
         n, count, seed, rho = self.n, self.count, self.seed, self.rho_target
         _check_demand(n, self.mu, self.sigma, rho)  # validate_params' rule, at n agents
         if not _is_integer(count) or count < 1:
-            raise ParameterError(f"count must be an integer >= 1, got {count!r}")
+            raise ParameterError(f"count must be an integer >= 1, got {_shown(count)}")
         if not (_is_integer(seed) and 0 <= seed < 2**128):
-            raise ParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-        n, count = int(n), int(count)
+            raise ParameterError(f"seed must be an integer in [0, 2**128), got {_shown(seed)}")
+        n, count = _check_size(n), int(count)
         if count * n > _MAX_ENTRIES:
-            raise ParameterError(f"count * n = {count * n} entries exceed the largest "
+            raise ParameterError(f"count * n = {_shown(count * n)} entries exceed the largest "
                                  f"array numpy can hold ({_MAX_ENTRIES})")
         # numpy integers are recorded as int, and every real number as a float
         for name, value in (("n", n), ("count", count), ("seed", int(seed)), ("mu", float(self.mu)),
@@ -404,7 +406,7 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
     """
     econ = validate_params(params)
     if not _is_integer(grid_points) or grid_points < 3 or grid_points % 2 == 0:
-        raise ValueError(f"grid_points must be an odd integer >= 3, got {grid_points!r}")
+        raise ValueError(f"grid_points must be an odd integer >= 3, got {_shown(grid_points)}")
     if not (math.isfinite(2.0 * grid_half_width) and grid_half_width > 0):
         raise ValueError(f"grid_half_width must be finite and positive, and 2 * grid_half_width "
                          f"finite, got {grid_half_width!r}")

@@ -370,3 +370,9 @@ class TestConfigLoading:
         with pytest.raises(ParameterError, match="unknown"):
             params_from_mapping(
                 {"r": 10, "c": 6, "nu": 2, "t": 2, "mu": 100, "sigma": 20, "rho": 0, "z": 1})
+
+
+def test_a_message_shows_a_number_by_str_and_anything_else_by_repr():
+    values = ["10", None, 10.0, True, np.float64(3.0), fractions.Fraction(5, 2), 10**5000]
+    assert [game_model._shown(v) for v in values] == [
+        "'10'", "None", "10.0", "True", "3.0", "5/2", "1.000000e+5000"]

@@ -296,6 +296,16 @@ def test_an_exact_number_too_long_to_print_is_shown_to_seven_figures(n, rho, sho
     assert refusal(lambda: sample_demands(n, 100, 20, rho, 10, seed=0)) == shown
 
 
+@pytest.mark.parametrize("count,seed,shown", [
+    (10**5000, 0, "count * n = 3.000000e+5000 entries exceed the largest array numpy can hold "
+                  f"({simulation._MAX_ENTRIES})"),
+    (-10**5000, 0, "count must be an integer >= 1, got -1.000000e+5000"),
+    (10, 10**5000, "seed must be an integer in [0, 2**128), got 1.000000e+5000"),
+], ids=["count=1e5000", "count=-1e5000", "seed=1e5000"])
+def test_a_count_or_seed_too_long_to_print_is_shown_to_seven_figures(count, seed, shown):
+    assert refusal(lambda: sample_demands(3, 100, 20, 0.3, count, seed=seed)) == shown
+
+
 def test_an_input_with_two_faults_is_refused_for_the_first_in_rule_order():
     # r, c, nu and t come before the demand law, and n before count
     with pytest.raises(ParameterError, match=r"^c = 12\.0 >= r = 10\.0 violates nu < c < r$"):
@@ -1123,6 +1133,11 @@ class TestEstimateTransshipment:
 
 
 class TestBruteForceOptimal:
+    def test_shows_a_point_count_too_long_to_print_to_seven_figures(self):
+        with pytest.raises(ValueError) as info:
+            brute_force_optimal(MEAN_GAME, 3, 6.0, 10**5000)
+        assert str(info.value) == "grid_points must be an odd integer >= 3, got 1.000000e+5000"
+
     def test_mean_game_peak_at_mean(self):
         x_best, _ = brute_force_optimal(MEAN_GAME, 4, 6.0, 2001)
         spacing = 12 * 20 / 2000
