@@ -25,6 +25,7 @@ from .game_model import (
     ParameterError,
     _check_size,
     _economics,
+    _float,
     _fractile_quantile,
     classify_game,
     pooling_factor,
@@ -281,12 +282,13 @@ def _within_float_range(value: float, what: str) -> float:
 def expected_profit(x: float, n: int, params: MarketParams) -> float:
     """Coalition expected profit J_n(x) for an arbitrary common quantity x.
 
-    A non-finite x raises ValueError, and a finite x at which (x - mu) / sigma
-    or the profit is past the float range a ParameterError.
+    A non-finite x raises ValueError, and an exact x past the float range,
+    or a finite x at which (x - mu) / sigma or the profit is past it, a
+    ParameterError.
     """
     econ = validate_params(params)
     L = pooling_factor(n, params.rho)
-    if not math.isfinite(x):
+    if not math.isfinite(_float("quantity x", x)):
         raise ValueError(f"quantity x must be finite, got {x!r}")
     y = _within_float_range((x - params.mu) / params.sigma, f"(x - mu) / sigma at x = {x!r}")
     profit = _profit_at(y, n, L, econ, params.mu, params.sigma, params.t)
@@ -304,11 +306,11 @@ def expected_transshipment(y: float, n: int, params: MarketParams) -> float:
     n*sigma*([y*Phi(y) + phi(y)] - [y*Phi(L_n y) + phi(L_n y)/L_n]) >= 0, an even
     function of y, evaluated at -|y| to keep full relative accuracy in both
     tails; zero whenever pooling has nothing to move (n = 1 or rho = 1). A
-    non-finite y raises ValueError, and an amount past the float range a
-    ParameterError.
+    non-finite y raises ValueError, and an exact y or an amount past the
+    float range a ParameterError.
     """
     validate_params(params)
-    if not math.isfinite(y):
+    if not math.isfinite(_float("y", y)):
         raise ValueError(f"y must be finite, got {y!r}")
     L = pooling_factor(n, params.rho)
     return _within_float_range(_transshipment(y, n, L, params.sigma),

@@ -55,7 +55,7 @@ class MarketParams:
 
     def __post_init__(self):
         for name in PARAM_KEYS:
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _float(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,15 @@ def _shown(value) -> str:
         return f"{Decimal(value.numerator) / value.denominator:.6e}"
 
 
+def _float(name: str, value) -> float:
+    """float(value), or for an exact number past the float range, where
+    float() raises OverflowError, a one-line ParameterError naming `name`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} = {_shown(value)} outside the float range") from None
+
+
 def _pool_variance(n: int, rho: float) -> float:
     """1 + (n-1)*rho, the variance of n equicorrelated unit normals' sum over n.
 
@@ -222,13 +231,14 @@ def _check_demand(n: int, mu: float, sigma: float, rho: float) -> None:
     mu and sigma must be real (a float is) and finite, and sigma > 0; then
     `_pool_variance(n, rho)` decides n and rho. Each violation raises a
     one-line ParameterError, the first one found: `mu must be a real number,
-    got ...`, `mu must be finite, got ...`, the same two for sigma,
-    `sigma = ... <= 0`, or one of `_pool_variance`'s.
+    got ...`, `mu = ... outside the float range` for an exact mu that no
+    float holds (see `_float`), `mu must be finite, got ...`, the same three
+    for sigma, `sigma = ... <= 0`, or one of `_pool_variance`'s.
     """
     for name, value in (("mu", mu), ("sigma", sigma)):
         if type(value) is not float and not _is_real(value):
             raise ParameterError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
+        if not math.isfinite(value if type(value) is float else _float(name, value)):
             raise ParameterError(f"{name} must be finite, got {value!r}")
     if sigma <= 0:
         raise ParameterError(f"sigma = {sigma} <= 0")

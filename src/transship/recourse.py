@@ -202,10 +202,8 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
     n = len(ss.surplus)
     if len(profit) != n or any(len(row) != n for row in profit):
         raise ValueError(f"profit matrix must be {n} x {n}")
-    for row in profit:
-        for value in row:
-            if not math.isfinite(value):
-                raise ValueError("profit matrix entries must be finite")
+    if not all(all(map(math.isfinite, row)) for row in profit):
+        raise ValueError("profit matrix entries must be finite")
 
     rows = [i for i in range(n) if ss.surplus[i] > 0.0]
     cols = [j for j in range(n) if ss.shortage[j] > 0.0]

@@ -26,6 +26,7 @@ from .game_model import (
     ParameterError,
     _check_demand,
     _check_size,
+    _float,
     _is_integer,
     _pool_variance,
     _shown,
@@ -301,10 +302,11 @@ def _totals(x: float, samples: DemandMatrix) -> tuple[np.ndarray, np.ndarray]:
     the exact double (a -0.0 is not a 0.0); its scenarios are fixed by its
     seed, so the entry cannot go stale. The entry is replaced whole, so
     concurrent callers at worst repeat a pass. A non-finite x, an n * x that
-    overflows, or totals that are not finite raise ValueError.
+    overflows, or totals that are not finite raise ValueError, and an exact
+    x past the float range a ParameterError.
     """
     import numpy as np
-    x = float(x)
+    x = _float("quantity x", x)
     if not math.isfinite(x):
         raise ValueError(f"quantity x must be finite, got {x!r}")
     if not math.isfinite(samples.n * x):

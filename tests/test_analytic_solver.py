@@ -151,6 +151,12 @@ class TestSolveOptimalQuantity:
 
 
 class TestExpectedProfit:
+    @pytest.mark.parametrize("x", [10**400, -10**400], ids=["1e400", "-1e400"])
+    def test_refuses_an_exact_quantity_past_the_float_range(self, x):
+        with pytest.raises(ParameterError) as info:
+            expected_profit(x, 3, MEAN_GAME)
+        assert str(info.value) == f"quantity x = {x} outside the float range"
+
     def test_mean_game_closed_form_value(self):
         # 8 * (50 - 20 * phi(0))
         assert expected_profit(100.0, 1, MEAN_GAME) == pytest.approx(336.1692351357708, abs=1e-9)
@@ -287,6 +293,12 @@ class TestEqualAllocation:
 
 
 class TestExpectedTransshipment:
+    @pytest.mark.parametrize("y", [10**400, -10**400], ids=["1e400", "-1e400"])
+    def test_refuses_an_exact_quantity_past_the_float_range(self, y):
+        with pytest.raises(ParameterError) as info:
+            expected_transshipment(y, 3, MEAN_GAME)
+        assert str(info.value) == f"y = {y} outside the float range"
+
     def test_single_agent_zero(self):
         for y in (-2.0, -0.5, 0.0, 0.7, 3.0):
             assert expected_transshipment(y, 1, MEAN_GAME) == 0.0

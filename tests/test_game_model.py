@@ -376,3 +376,15 @@ def test_a_message_shows_a_number_by_str_and_anything_else_by_repr():
     values = ["10", None, 10.0, True, np.float64(3.0), fractions.Fraction(5, 2), 10**5000]
     assert [game_model._shown(v) for v in values] == [
         "'10'", "None", "10.0", "True", "3.0", "5/2", "1.000000e+5000"]
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400, fractions.Fraction(10**400, 3)],
+                         ids=["1e400", "-1e400", "1e400/3"])
+@pytest.mark.parametrize("key", game_model.PARAM_KEYS)
+def test_a_market_refuses_an_exact_number_past_the_float_range_by_name(key, value):
+    values = {"r": 10, "c": 6, "nu": 2, "t": 1, "mu": 100, "sigma": 20, "rho": 0}
+    values[key] = value
+    for make in (lambda: MarketParams(**values), lambda: params_from_mapping(values)):
+        with pytest.raises(ParameterError) as info:
+            make()
+        assert str(info.value) == f"{key} = {value} outside the float range"

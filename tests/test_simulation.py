@@ -306,6 +306,17 @@ def test_a_count_or_seed_too_long_to_print_is_shown_to_seven_figures(count, seed
     assert refusal(lambda: sample_demands(3, 100, 20, 0.3, count, seed=seed)) == shown
 
 
+@pytest.mark.parametrize("value", [10**400, -10**400, fractions.Fraction(10**400, 3)],
+                         ids=["1e400", "-1e400", "1e400/3"])
+@pytest.mark.parametrize("name", ["mu", "sigma"])
+def test_an_exact_mean_or_spread_past_the_float_range_is_refused_by_name(name, value):
+    # the sampler converts it as MarketParams does, never through math.isfinite's OverflowError
+    demand = {"mu": 100, "sigma": 20, name: value}
+    shown = f"{name} = {value} outside the float range"
+    assert refusal(lambda: sample_demands(4, rho=0.3, count=10, seed=0, **demand)) == shown
+    assert refusal(lambda: MarketParams(10, 6, 2, 1, rho=0.3, **demand)) == shown
+
+
 def test_an_input_with_two_faults_is_refused_for_the_first_in_rule_order():
     # r, c, nu and t come before the demand law, and n before count
     with pytest.raises(ParameterError, match=r"^c = 12\.0 >= r = 10\.0 violates nu < c < r$"):
@@ -900,6 +911,13 @@ class TestEstimatorOverflow:
     def test_transshipment_at_1e307_is_zero(self):
         est = estimate_transshipment(1e307, self.fresh())
         assert (est.mean, est.std_error) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("estimate", [mean_game_profit, estimate_transshipment])
+    @pytest.mark.parametrize("x", [10**400, -10**400], ids=["1e400", "-1e400"])
+    def test_an_exact_quantity_past_the_float_range(self, estimate, x):
+        with pytest.raises(ParameterError) as info:
+            estimate(x, self.fresh())
+        assert str(info.value) == f"quantity x = {x} outside the float range"
 
     @pytest.mark.parametrize("estimate", [mean_game_profit, estimate_transshipment])
     @pytest.mark.parametrize("x", [1e308, -1e308])
