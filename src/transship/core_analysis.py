@@ -52,8 +52,7 @@ def check_equal_allocation_core(params: MarketParams, n: int,
     if not tolerance >= 0:  # also rejects nan, which would fail every margin
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     beta = [res.allocation for res in _solve_sizes(params, 1, n)]
-    # The least margin over proper sizes m, at the smaller m on a tie; a single
-    # agent has nothing to block.
+    # A single agent has no proper size m to block it: the default.
     worst_margin, witness = min(((beta[-1] - b, m) for m, b in enumerate(beta[:-1], 1)),
                                 default=(0.0, 1))
     scale = max(1.0, max(abs(b) for b in beta))
