@@ -137,3 +137,82 @@ def lp_best_plan(surplus, shortage, profit) -> float:
                      bounds=(0, None), method="highs")
     assert result.status == 0, result.message
     return -float(result.fun)
+
+
+def reference_plan(ss, profit):
+    """(shipments, objective, augmentations) of the recourse solver as it was
+    with every remainder and flow a `Fraction`: a frozen copy that the
+    solver's plans are compared with bit for bit. An objective past the float
+    range raises the solver's one-line ValueError."""
+    n = len(ss.surplus)
+    rows = [i for i in range(n) if ss.surplus[i] > 0.0]
+    cols = [j for j in range(n) if ss.shortage[j] > 0.0]
+    rem = {i: Fraction(ss.surplus[i]) for i in rows}
+    rem.update((j, Fraction(ss.shortage[j])) for j in cols)
+    flow = {}
+    if len({profit[i][j] for i in rows for j in cols}) < 2:
+        objective, steps = _reference_northwest(rows, cols, profit, rem, flow)
+    else:
+        objective, steps = _reference_paths(rows, cols, profit, rem, flow)
+    shipments = [[0.0] * n for _ in range(n)]
+    for (i, j), w in flow.items():
+        shipments[i][j] = float(w)
+    try:
+        rounded = float(objective)
+    except OverflowError:
+        raise ValueError("recourse objective exceeds the float range "
+                         f"(> {sys.float_info.max!r})") from None
+    return tuple(map(tuple, shipments)), rounded, steps
+
+
+def _reference_northwest(rows, cols, profit, rem, flow):
+    v = profit[rows[0]][cols[0]] if rows and cols else 0.0
+    a = b = 0
+    while v > 0.0 and a < len(rows) and b < len(cols):
+        i, j = rows[a], cols[b]
+        w = flow[i, j] = min(rem[i], rem[j])
+        rem[i] -= w
+        rem[j] -= w
+        if not rem[i]:
+            a += 1
+        if not rem[j]:
+            b += 1
+    return Fraction(v) * sum(flow.values()), len(flow)
+
+
+def _reference_paths(rows, cols, profit, rem, flow):
+    p = {(i, j): Fraction(profit[i][j]) for i in rows for j in cols if profit[i][j] > 0.0}
+    objective = Fraction(0)
+    steps = 0
+    while True:
+        dist = dict.fromkeys(rem)
+        dist.update((i, Fraction(0)) for i in rows if rem[i])
+        pred = dict.fromkeys(rem)
+        for _ in range(len(rows) + len(cols) + 1):
+            changed = False
+            for (i, j), pij in p.items():
+                if dist[i] is not None and (dist[j] is None or dist[i] - pij < dist[j]):
+                    dist[j], pred[j], changed = dist[i] - pij, i, True
+                if flow.get((i, j)) and dist[j] is not None and (
+                        dist[i] is None or dist[j] + pij < dist[i]):
+                    dist[i], pred[i], changed = dist[j] + pij, j, True
+            if not changed:
+                break
+        end = min((j for j in cols if rem[j] and dist[j] is not None), key=dist.__getitem__,
+                  default=None)
+        if end is None or dist[end] >= 0:
+            return objective, steps
+        path = [end]
+        while pred[path[-1]] is not None:
+            path.append(pred[path[-1]])
+        path.reverse()
+        back = list(zip(path[2::2], path[1::2]))
+        bottleneck = min(rem[path[0]], rem[path[-1]], *(flow[arc] for arc in back))
+        for arc in zip(path[0::2], path[1::2]):
+            flow[arc] = flow.get(arc, 0) + bottleneck
+        for arc in back:
+            flow[arc] -= bottleneck
+        rem[path[0]] -= bottleneck
+        rem[path[-1]] -= bottleneck
+        objective += -dist[end] * bottleneck
+        steps += 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from support import enumerate_best_plan, lp_best_plan, random_surplus_shortage
+from support import enumerate_best_plan, lp_best_plan, random_surplus_shortage, reference_plan
 from transship import recourse
 from transship.recourse import (
     GeneralAgentParams,
@@ -448,6 +448,71 @@ class TestIdenticalAgentsAtScale:
         plan = solve_transshipment_plan(ss, profit)
         assert calls == [block(ss)]
         assert plan.augmentations >= 1
+
+
+# Magnitudes a double can hold, from the least subnormal to the largest finite.
+EXTREMES = (5e-324, 2.5e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
+            1.7976931348623157e308)
+# Signed zeros, a loss, ordinary profits and one whose products pass the float range.
+EXTREME_PROFITS = (0.0, -0.0, -1.0, 0.5, 1.0, 3.0, 1e300)
+
+
+def extreme_plan_inputs(rng, n):
+    """Surpluses and shortages of mixed extreme magnitudes in one plan, each an
+    extreme as it is or times a factor in [1/2, 1), and profits drawn from
+    EXTREME_PROFITS: one value on every route for even n, one per route else."""
+    amounts = [float(rng.choice(EXTREMES)) * (1.0 if rng.random() < 0.5 else rng.uniform(0.5, 1.0))
+               for _ in range(n)]
+    short = rng.random(n) < 0.5
+    ss = SurplusShortage(tuple(0.0 if s else a for a, s in zip(amounts, short)),
+                         tuple(a if s else 0.0 for a, s in zip(amounts, short)))
+    if n % 2 == 0:
+        return ss, [[float(rng.choice(EXTREME_PROFITS))] * n for _ in range(n)]
+    return ss, [[float(rng.choice(EXTREME_PROFITS)) for _ in range(n)] for _ in range(n)]
+
+
+def outcome(solve, ss, profit):
+    """(shipments, objective, augmentations) as reprs, or the ValueError's text."""
+    try:
+        plan = solve(ss, profit)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(plan, tuple):
+        return repr(plan)
+    return repr((plan.shipments, plan.objective, plan.augmentations))
+
+
+class TestMatchesFractionReference:
+    # `support.reference_plan` is the solver as it was with every remainder and
+    # flow a Fraction; every plan, its objective and its step count keep those bits.
+    @pytest.mark.parametrize("make, sizes, seed", [
+        (general_plan_inputs, range(1, 33), 3601),
+        (uniform_plan_inputs, list(range(1, 33)) * 3, 3602),
+        (tie_heavy_plan_inputs, list(range(1, 33)) * 2, 3603),
+        (extreme_plan_inputs, list(range(1, 9)) * 40, 3604),
+    ], ids=["general", "uniform", "tie-heavy", "extreme"])
+    def test_plans_keep_the_reference_bits(self, make, sizes, seed):
+        rng = np.random.default_rng(seed)
+        for n in sizes:
+            ss, profit = make(rng, n)
+            assert outcome(solve_transshipment_plan, ss, profit) == outcome(reference_plan, ss, profit)
+
+    @pytest.mark.parametrize("v", [0.25, 0.5])
+    def test_every_extreme_in_one_plan(self, v):
+        surplus = (5e-324, 0.0, 2.5e-310, 0.0, 1e-300, 0.0, 1e300, 0.0, 1.7976931348623157e308, 0.0)
+        shortage = (0.0, 1e300, 0.0, 5e-324, 0.0, 1.7976931348623157e308, 0.0, 1e-300, 0.0, 2.5e-310)
+        for ss in (SurplusShortage(surplus, shortage), SurplusShortage(shortage, surplus)):
+            for profit in ([[v] * 10 for _ in range(10)],
+                           [[v + (i + j) % 3 / 8 for j in range(10)] for i in range(10)]):
+                expected = outcome(reference_plan, ss, profit)
+                assert not expected.startswith("recourse")
+                assert outcome(solve_transshipment_plan, ss, profit) == expected
+
+    def test_objective_past_the_float_range_raises_the_same_line(self):
+        ss = SurplusShortage((1.7976931348623157e308, 5e-324, 0.0), (0.0, 0.0, 1.7976931348623157e308))
+        for profit in ([[3.0] * 3 for _ in range(3)], [[3.0, 2.0, 3.0]] * 3):
+            assert outcome(reference_plan, ss, profit) == OVERFLOW
+            assert outcome(solve_transshipment_plan, ss, profit) == OVERFLOW
 
 
 class TestCantHappenGuards:
