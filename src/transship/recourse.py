@@ -24,13 +24,17 @@ for step (see `solve_transshipment_plan`), so both give the same bits.
 `symmetric_recourse_value` forms p * min(sum(H), sum(E)) from the totals on
 its own, so it stays an independent check of the northwest plan.
 
-All internal arithmetic uses `fractions.Fraction`. Float inputs are dyadic
-rationals, so sums, minima, and products stay exact and the results round to
-float exactly once at the end; the symmetric shortcut and the general solver
-therefore agree bit-for-bit on uniform profit matrices. Each shipment is its
-exact flow rounded to the nearest float on its own, so a row or column total
-of the float plan can exceed H_i or E_j in exact arithmetic, by at most n/2
-units in the last place of the bound; the exact flows never do.
+Every result is exact until it is rounded once at the end. Float inputs
+are dyadic rationals, so each surplus and shortage is held as a Python int
+at one scale, the least common multiple of their denominators, which for
+floats is the largest of them, a power of two. Remainders and flows are
+those ints, so sums, minima and differences stay exact; the path search
+keeps profits and distances as `fractions.Fraction`s. The symmetric
+shortcut and the general solver therefore agree bit-for-bit on uniform
+profit matrices. Each shipment is its exact flow rounded to the nearest
+float on its own, so a row or column total of the float plan can exceed
+H_i or E_j in exact arithmetic, by at most n/2 units in the last place of
+the bound; the exact flows never do.
 """
 
 from __future__ import annotations
@@ -141,10 +145,10 @@ class SurplusShortage:
 class TransshipmentPlan:
     """An optimal shipping plan: W[i][j] units from i to j, and its profit.
 
-    The solver's flows are exact rationals. Each W[i][j] is its flow rounded
-    to the nearest float, and objective is the exact profit rounded once. A
-    row total sum_j W[i][j] (or column total) can therefore exceed H_i (or
-    E_j) in exact arithmetic, by up to n/2 ulp of that bound.
+    The solver's flows are exact, Python ints at one scale. Each W[i][j] is
+    its flow rounded to the nearest float, and objective is the exact profit
+    rounded once. A row total sum_j W[i][j] (or column total) can therefore
+    exceed H_i (or E_j) in exact arithmetic, by up to n/2 ulp of that bound.
     augmentations counts the paths the solver shipped along, one per step
     of the northwest-corner plan for identical agents.
     """
@@ -177,11 +181,15 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
 
     Only routes from a surplus row S (H_i > 0) to a shortage column T
     (E_j > 0) can carry flow, so the plan is built over S x T alone: one
-    map rem of exact remainders, H_i for i in S and E_j for j in T, keyed by
-    agent since S and T are disjoint, and a sparse dict of exact flows. One
-    builder fills them and returns the exact profit of what it shipped and
-    its step count; the plan is assembled here once, each shipment its flow
-    rounded on its own and the objective rounded once.
+    map rem of remainders, H_i for i in S and E_j for j in T, keyed by
+    agent since S and T are disjoint, and a sparse dict of flows. Both hold
+    exact Python ints at one scale: each amount is converted once, with
+    `as_integer_ratio`, and multiplied by the least common multiple of the
+    denominators (for floats the largest, a power of two). One builder
+    fills them and returns the scaled exact profit of what it shipped and
+    its step count; the plan is assembled here once, where the scale is
+    undone: each shipment is w / scale, which int division rounds
+    correctly, and the objective is rounded once.
     When the profit is one value v on all of S x T (equal by ==, so 0.0 and
     -0.0 are one value), the builder is the northwest-corner rule
     (`_northwest_flows`, the one reader of v); otherwise successive
@@ -207,9 +215,15 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
 
     rows = [i for i in range(n) if ss.surplus[i] > 0.0]
     cols = [j for j in range(n) if ss.shortage[j] > 0.0]
-    rem = {i: Fraction(ss.surplus[i]) for i in rows}
-    rem.update((j, Fraction(ss.shortage[j])) for j in cols)
-    flow: dict[tuple[int, int], Fraction] = {}
+    amounts = {i: ss.surplus[i] for i in rows}
+    amounts.update((j, ss.shortage[j]) for j in cols)
+    ratios = [(k, (x if isinstance(x, float) else Fraction(x)).as_integer_ratio())
+              for k, x in amounts.items()]
+    # A float's denominator is a power of two, so for floats the least common
+    # multiple is the largest denominator; any other number is made exact first.
+    scale = math.lcm(*(d for _, (_, d) in ratios))
+    rem = {k: m * (scale // d) for k, (m, d) in ratios}
+    flow: dict[tuple[int, int], int] = {}
     # One value on the block, by ==, so 0.0 and -0.0 are one; an empty block
     # holds none and ships nothing.
     constant = len({profit[i][j] for i in rows for j in cols}) < 2
@@ -218,9 +232,9 @@ def solve_transshipment_plan(ss: SurplusShortage, profit: Sequence[Sequence[floa
 
     shipments = [[0.0] * n for _ in range(n)]
     for (i, j), w in flow.items():
-        shipments[i][j] = float(w)
+        shipments[i][j] = w / scale  # int division rounds correctly
     return TransshipmentPlan(shipments=tuple(map(tuple, shipments)),
-                             objective=_rounded(objective), augmentations=steps)
+                             objective=_rounded(objective / scale), augmentations=steps)
 
 
 def _northwest_flows(rows, cols, profit, rem, flow):
@@ -231,7 +245,7 @@ def _northwest_flows(rows, cols, profit, rem, flow):
     moves past whichever side it used up, or both on a tie. One map rem
     holds both sides, keyed by agent, since no row is also a column. Every
     unit earns v, so the objective is v times the units shipped, which is
-    exactly v * min(sum(H), sum(E)).
+    exactly v * min(sum(H), sum(E)), at rem's scale.
     """
     v = profit[rows[0]][cols[0]] if rows and cols else 0.0
     a = b = 0
@@ -260,7 +274,8 @@ def _augmenting_path_flows(rows, cols, profit, rem, flow):
     positive: i0 has no predecessor, so it has spare surplus; jk is chosen
     with spare shortage; and a route is taken back only while it carries
     flow. Each augmentation raises sum(p_ij * W_ij) by exactly the path's
-    gain times its bottleneck, so the objective is that running sum.
+    gain times its bottleneck, so the objective is that running sum, at
+    rem's scale: the bottlenecks are ints and the gains `Fraction`s.
     """
     p = {(i, j): Fraction(profit[i][j]) for i in rows for j in cols if profit[i][j] > 0.0}
     objective = Fraction(0)
