@@ -515,6 +515,54 @@ class TestMatchesFractionReference:
             assert outcome(solve_transshipment_plan, ss, profit) == OVERFLOW
 
 
+class TestIntegerState:
+    # The remainders and flows are Python ints at one scale, so a uniform plan
+    # builds no Fraction per agent.
+    @pytest.mark.parametrize("make", [general_plan_inputs, uniform_plan_inputs,
+                                      extreme_plan_inputs], ids=["general", "uniform", "extreme"])
+    def test_both_builders_receive_int_remainders(self, monkeypatch, make):
+        seen = []
+
+        def checked(build):
+            def run(rows, cols, profit, rem, flow):
+                seen.append(build.__name__)
+                assert all(type(value) is int for value in rem.values())
+                assert not flow
+                return build(rows, cols, profit, rem, flow)
+            return run
+
+        for name in ("_northwest_flows", "_augmenting_path_flows"):
+            monkeypatch.setattr(recourse, name, checked(getattr(recourse, name)))
+        rng = np.random.default_rng(3605)
+        for n in range(1, 13):
+            outcome(solve_transshipment_plan, *make(rng, n))  # an extreme plan may overflow
+        assert len(seen) == 12
+
+    def test_a_uniform_plan_makes_the_same_few_fraction_calls_at_any_size(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(recourse, "Fraction", counted)
+        counts = []
+        for n in (10, 1000):
+            ss, profit = uniform_plan_inputs(np.random.default_rng(3606), n)
+            calls.clear()
+            solve_transshipment_plan(ss, profit)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
+    def test_exact_inputs_keep_the_reference_bits(self):
+        # A Fraction whose denominator is not a power of two, a numpy int
+        # and a numpy float: the scale is the least common multiple of all.
+        ss = SurplusShortage((Fraction(1, 3), 0, np.int64(5), 0.1, 0.0),
+                             (0, Fraction(2, 7), 0, 0.0, np.float64(1.3)))
+        for profit in ([[2.0] * 5] * 5, [[2.0, 1.0, 3.0, 1.5, 1.25]] * 5):
+            assert outcome(solve_transshipment_plan, ss, profit) == outcome(reference_plan, ss, profit)
+
+
 class TestCantHappenGuards:
     # Successive shortest paths never reach these guards; each is reached here
     # from a state the solver never builds, and raises its one line.
