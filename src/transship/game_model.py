@@ -228,18 +228,22 @@ def _check_demand(n: int, mu: float, sigma: float, rho: float) -> None:
     """The one rule of the demand law N(mu, sigma^2) with correlation rho
     among n agents, shared by validate_params (at n = 1) and the sampler.
 
-    mu and sigma must be real (a float is) and finite, and sigma > 0; then
-    `_pool_variance(n, rho)` decides n and rho. Each violation raises a
-    one-line ParameterError, the first one found: `mu must be a real number,
-    got ...`, `mu = ... outside the float range` for an exact mu that no
-    float holds (see `_float`), `mu must be finite, got ...`, the same three
-    for sigma, `sigma = ... <= 0`, or one of `_pool_variance`'s.
+    mu and sigma must be real (a float is) and finite, and sigma > 0 as the
+    double the sampler records, so an exact sigma that rounds to 0.0 is
+    refused as validate_params refuses 0.0; then `_pool_variance(n, rho)`
+    decides n and rho. Each violation raises a one-line ParameterError, the
+    first one found: `mu must be a real number, got ...`, `mu = ... outside
+    the float range` for an exact mu that no float holds (see `_float`),
+    `mu must be finite, got ...`, the same three for sigma, `sigma = ... <=
+    0` with sigma's double, or one of `_pool_variance`'s.
     """
     for name, value in (("mu", mu), ("sigma", sigma)):
         if type(value) is not float and not _is_real(value):
             raise ParameterError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(value if type(value) is float else _float(name, value)):
             raise ParameterError(f"{name} must be finite, got {value!r}")
+    if type(sigma) is not float:
+        sigma = float(sigma)  # in range: _float has converted it above
     if sigma <= 0:
         raise ParameterError(f"sigma = {sigma} <= 0")
     _pool_variance(n, rho)

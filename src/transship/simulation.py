@@ -53,6 +53,10 @@ _BLOCK_ELEMENTS = 1 << 15
 # platform's Py_ssize_t, whose maximum is sys.maxsize.
 _MAX_ENTRIES = sys.maxsize // 8
 
+# Most grid points one brute_force_optimal call scans: 0.7-0.8 s of CPU at
+# n = 3 and w = 6, where 10**12 + 1 points took 3.9 s (README).
+_MAX_GRID_POINTS = 10**10 + 1
+
 
 def _block_rows(n: int) -> int:
     """Rows per block of a pass over n columns: about _BLOCK_ELEMENTS entries,
@@ -405,6 +409,8 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
     A width whose double 2w overflows raises ValueError, and so does a nan or
     +inf profit, from overflow at huge widths, which grows toward the grid's
     ends: point 0 is evaluated first and the last point in the coarse pass.
+    So does a count past `_MAX_GRID_POINTS`, about a second of CPU, once
+    every other argument has passed its check.
     """
     econ = validate_params(params)
     if not _is_integer(grid_points) or grid_points < 3 or grid_points % 2 == 0:
@@ -413,6 +419,9 @@ def brute_force_optimal(params: MarketParams, n: int, grid_half_width: float,
         raise ValueError(f"grid_half_width must be finite and positive, and 2 * grid_half_width "
                          f"finite, got {grid_half_width!r}")
     L = pooling_factor(n, params.rho)
+    if grid_points > _MAX_GRID_POINTS:
+        raise ValueError(f"{_shown(grid_points)} grid points requested; "
+                         f"at most {_MAX_GRID_POINTS} per call")
     mu, sigma, t, w = params.mu, params.sigma, params.t, grid_half_width
     last = int(grid_points) - 1
     delta = 2.0 * w

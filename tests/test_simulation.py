@@ -317,6 +317,24 @@ def test_an_exact_mean_or_spread_past_the_float_range_is_refused_by_name(name, v
     assert refusal(lambda: MarketParams(10, 6, 2, 1, rho=0.3, **demand)) == shown
 
 
+@pytest.mark.parametrize("sigma,shown", [
+    (fractions.Fraction(1, 10**400), "sigma = 0.0 <= 0"),
+    (fractions.Fraction(-1, 2), "sigma = -0.5 <= 0"),
+    (0, "sigma = 0.0 <= 0"),
+], ids=["1e-400", "-1/2", "0"])
+def test_an_exact_spread_is_compared_as_its_double(sigma, shown):
+    # the sampler records float(sigma), so it refuses what validate_params refuses
+    market = MarketParams(10, 6, 2, 1, 100, sigma, 0.3)
+    assert refusal(lambda: sample_demands(3, 100, sigma, 0.3, 4, seed=0)) == shown
+    assert refusal(lambda: validate_params(market)) == shown
+
+
+def test_an_exact_spread_that_rounds_to_a_positive_double_draws_as_it():
+    exact = sample_demands(3, 100, fractions.Fraction(1, 10**300), 0.3, 4, seed=0)
+    assert exact.sigma == 1e-300
+    assert exact.scenarios.tobytes() == sample_demands(3, 100, 1e-300, 0.3, 4, seed=0).scenarios.tobytes()
+
+
 def test_an_input_with_two_faults_is_refused_for_the_first_in_rule_order():
     # r, c, nu and t come before the demand law, and n before count
     with pytest.raises(ParameterError, match=r"^c = 12\.0 >= r = 10\.0 violates nu < c < r$"):
@@ -1155,6 +1173,31 @@ class TestBruteForceOptimal:
         with pytest.raises(ValueError) as info:
             brute_force_optimal(MEAN_GAME, 3, 6.0, 10**5000)
         assert str(info.value) == "grid_points must be an odd integer >= 3, got 1.000000e+5000"
+
+    @pytest.mark.parametrize("points", [10**20 + 1, 10**400 + 1])
+    def test_refuses_more_points_than_a_second_of_cpu_scans(self, points):
+        with pytest.raises(ValueError) as info:
+            brute_force_optimal(MEAN_GAME, 3, 6.0, points)
+        assert str(info.value) == (f"{simulation._shown(points)} grid points requested; "
+                                   f"at most {simulation._MAX_GRID_POINTS} per call")
+
+    def test_the_point_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_MAX_GRID_POINTS", 2001)
+        assert brute_force_optimal(MEAN_GAME, 4, 6.0, 2001) == \
+            brute_force_optimal(MEAN_GAME, 4, 6.0, np.int64(2001))
+        with pytest.raises(ValueError, match="^2003 grid points requested; at most 2001 per call$"):
+            brute_force_optimal(MEAN_GAME, 4, 6.0, 2003)
+        with pytest.raises(ValueError, match="^2003 grid points requested"):
+            brute_force_optimal(MEAN_GAME, 4, 6.0, np.int64(2003))
+
+    def test_the_point_cap_comes_after_every_other_check(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_MAX_GRID_POINTS", 3)
+        with pytest.raises(ValueError, match="odd integer"):
+            brute_force_optimal(MEAN_GAME, 4, 6.0, 2000)
+        with pytest.raises(ValueError, match="grid_half_width"):
+            brute_force_optimal(MEAN_GAME, 4, -1.0, 2001)
+        with pytest.raises(ParameterError, match="coalition size"):
+            brute_force_optimal(MEAN_GAME, 0, 6.0, 2001)
 
     def test_mean_game_peak_at_mean(self):
         x_best, _ = brute_force_optimal(MEAN_GAME, 4, 6.0, 2001)
