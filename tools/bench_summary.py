@@ -51,13 +51,13 @@ def spread(values: list[float]) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def row(label: str, pairs: list[tuple[float, float]]) -> str:
+def row(label: str, pairs: list[tuple[float, float]], width: int) -> str:
     parent = [a for a, _ in pairs]
     change = [b for _, b in pairs]
     base = statistics.median(parent)
     moved = f"{(statistics.median(change) - base) / base:+.1%}" if base else "n/a"
     lower = sum(b < a for a, b in pairs)
-    return (f"{label:24} {spread(parent):>28} {spread(change):>28} {moved:>8} "
+    return (f"{label:{width}} {spread(parent):>28} {spread(change):>28} {moved:>8} "
             f"{lower:>3}/{len(pairs)}")
 
 
@@ -73,17 +73,19 @@ def summary(parent: dict[int, dict], change: dict[int, dict]) -> list[str]:
         failed = sum(records[s]["failed"] for s in seeds)
         attempted = sum(records[s]["attempted"] for s in seeds)
         lines.append(f"{side}: {failed} of {attempted} ops failed")
-    lines.append(f"{'metric':24} {'parent':>28} {'change':>28} {'moved':>8} lower")
+    rows = []
     for name, figure in parent[seeds[0]]["metrics"].items():
         pairs = [(parent[s]["metrics"][name]["value"], change[s]["metrics"][name]["value"])
                  for s in seeds]
-        lines.append(row(f"{name} ({figure['unit']})", pairs))
+        rows.append((f"{name} ({figure['unit']})", pairs))
     kinds = [kind_medians(parent[s]) for s in seeds], [kind_medians(change[s]) for s in seeds]
     for kind in sorted(set().union(*kinds[0], *kinds[1])):
         pairs = [(a[kind], b[kind]) for a, b in zip(*kinds) if kind in a and kind in b]
         if pairs:
-            lines.append(row(f"{kind} op cpu p50 (ms)", pairs))
-    return lines
+            rows.append((f"{kind} op cpu p50 (ms)", pairs))
+    width = max(len(label) for label, _ in rows)
+    lines.append(f"{'metric':{width}} {'parent':>28} {'change':>28} {'moved':>8} lower")
+    return lines + [row(label, pairs, width) for label, pairs in rows]
 
 
 def main(argv=None) -> int:
